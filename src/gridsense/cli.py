@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--placement", default="greedy",
         help="comma-separated placement methods: greedy, random, or file:PATH",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker threads for trial execution")
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility and ignored; trials run serially")
     p.add_argument("--epsilon", type=float, default=None, help="override the noise-derived BPDN radius in every cell")
     return parser
 

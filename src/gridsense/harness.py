@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,13 +250,6 @@ def _cell_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def _map_indexed(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def run_benchmark(
     network: DcNetwork,
     model: ImpedanceModel,
@@ -271,60 +263,55 @@ def run_benchmark(
     model_id: str = "",
     epsilon: float | None = None,
 ) -> BenchmarkReport:
-    """Fill a benchmark grid; deterministic in (cells, trials, seed) regardless of threads.
+    """Fill a benchmark grid; deterministic in (cells, trials, seed).
 
     Each cell is a (sparsity, meters, placement, estimator, noise_std) tuple or
     an equivalent mapping. Random-placement cells average over
     `random_placements` placements with trials split evenly among them. When
     `epsilon` is given it overrides the noise-derived BPDN radius in every cell.
+    Trials run serially; `threads` is accepted for compatibility and ignored.
     """
     cfg = None if epsilon is None else SolverConfig(epsilon=epsilon)
     cells = [_normalize_cell(c) for c in cells]
     if not cells:
         raise ValidationError("benchmark grid is empty")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    low, high = injection_range
     results = []
     greedy_cache: dict[int, PlacementPlan] = {}
     for idx, (sparsity, meters, placement, estimator, noise_std) in enumerate(cells):
         cseed = _cell_seed(seed, idx)
-        low, high = injection_range
-
-        def make_spec(plan, spec_seed):
-            return ScenarioSpec(
-                network=network, model=model, placement=plan, sparsity=sparsity,
-                injection_low=low, injection_high=high, sign_policy=sign_policy,
-                noise_std=noise_std, trials=trials, seed=spec_seed,
-            )
-
         if isinstance(placement, PlacementPlan):
-            spec = make_spec(placement, cseed)
-            trial_results = _map_indexed(
-                lambda t: run_trial(spec, estimator, t, cfg), range(trials), threads
-            )
+            plans = [placement]
             placement = "file"
         elif placement == "greedy":
             if meters not in greedy_cache:
                 greedy_cache[meters] = greedy_place_sensors(model, meters)
-            spec = make_spec(greedy_cache[meters], cseed)
-            trial_results = _map_indexed(
-                lambda t: run_trial(spec, estimator, t, cfg), range(trials), threads
-            )
+            plans = [greedy_cache[meters]]
         elif placement == "random":
-            n_plans = min(random_placements, trials)
-            per_plan = trials // n_plans
-            trial_results = []
-            for p in range(n_plans):
-                plan = random_place_sensors(model, meters, seed=_cell_seed(cseed, p + 1))
-                spec = make_spec(plan, cseed)
-                offset = p * per_plan
-                trial_results.extend(
-                    _map_indexed(
-                        lambda t: run_trial(spec, estimator, t, cfg),
-                        range(offset, offset + per_plan),
-                        threads,
-                    )
-                )
+            plans = [
+                random_place_sensors(model, meters, seed=_cell_seed(cseed, p + 1))
+                for p in range(min(random_placements, trials))
+            ]
         else:
             raise ValidationError(f"unknown placement method {placement!r}")
+
+        # plans split the trials evenly: plan p runs indices p * per_plan onwards
+        per_plan = trials // len(plans)
+        specs = (
+            ScenarioSpec(
+                network=network, model=model, placement=plan, sparsity=sparsity,
+                injection_low=low, injection_high=high, sign_policy=sign_policy,
+                noise_std=noise_std, trials=trials, seed=cseed,
+            )
+            for plan in plans
+        )
+        trial_results = [
+            run_trial(spec, estimator, p * per_plan + t, cfg)
+            for p, spec in enumerate(specs)
+            for t in range(per_plan)
+        ]
 
         n = len(trial_results)
         ratio = sum(1 for r in trial_results if r.success) / n

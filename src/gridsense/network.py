@@ -163,7 +163,10 @@ def _iter_case_lines(text: str):
 
 
 def load_network(source) -> DcNetwork:
-    """Load a `gridsense-case v1` file from a path, stream, or text."""
+    """Load a `gridsense-case v1` file from a path, stream, or text.
+
+    A str is case text when it contains a newline and a file path otherwise.
+    """
     text = _read_text(source)
     lines = list(_iter_case_lines(text))
     if not lines or lines[0][1] != CASE_HEADER:
@@ -206,8 +209,8 @@ def _read_text(source) -> str:
     if isinstance(source, bytes):
         return source.decode("utf-8")
     if isinstance(source, str):
-        looks_like_text = "\n" in source or source.lstrip().startswith("gridsense-")
-        if looks_like_text:
+        # every valid case has a header line and a section line
+        if "\n" in source:
             return source
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()

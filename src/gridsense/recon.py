@@ -225,7 +225,7 @@ def _bpdn_homotopy(an, y, eps, max_steps):
     residual norm shrinks monotonically as the weight decreases; walking the
     path from the all-zero end and stopping where the residual crosses eps
     yields the constrained optimum directly. Returns (beta, residual, steps)
-    or None when the active-set walk degenerates (caller falls back to ADMM).
+    or None when the active-set walk degenerates (caller falls back to FISTA).
     """
     n, m = an.shape
     c0 = an.T @ y
@@ -338,12 +338,12 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     exactly by walking the lasso regularization path to the point where the
     residual norm meets epsilon. If either route fails numerically (highly
     coherent columns can make the path's active-set systems singular) the
-    solver falls back to bisection on the lasso penalty weight with a
-    coordinate-descent inner solver, which is slower but convergent for any
-    conditioning. Columns of A are normalized to unit norm internally and the
-    solution is rescaled back, so the l1 penalty weights buses comparably.
-    The objective trace is non-increasing: each entry is the l1 value of the
-    newest (best) feasible iterate.
+    solver falls back to bisection on the lasso penalty weight with an
+    accelerated proximal-gradient (FISTA) inner solver, which is slower but
+    convergent for any conditioning. Columns of A are normalized to unit
+    norm internally and the solution is rescaled back, so the l1 penalty
+    weights buses comparably. The objective trace is non-increasing: each
+    entry is the l1 value of the newest (best) feasible iterate.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -395,8 +395,9 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
             )
 
     # fallback: bisection on the lasso penalty, each subproblem solved by
-    # coordinate descent. Convergent regardless of conditioning; the working
-    # epsilon is floored at ftol so the equality limit still terminates
+    # accelerated proximal gradient (FISTA). Convergent regardless of
+    # conditioning; the working epsilon is floored at ftol so the equality
+    # limit still terminates
     eps_eff = max(eps, ftol)
     best_x, best_res, sweeps, trace, closed = _bpdn_cd_bisect(
         an, y, eps_eff, cfg.max_iterations, max(cfg.convergence_tol, 1e-12)

@@ -128,34 +128,26 @@ def gram_coherence(a: MeasurementMatrix | np.ndarray) -> GramReport:
     normalized = rows / safe
     gram = normalized.T @ normalized
 
-    mask = np.outer(nonzero, nonzero)
-    np.fill_diagonal(mask, False)
-    # normalized inner products exceed 1 only through rounding; clamp so the
-    # coherence stays a true cosine even for duplicated columns
-    max_off = min(float(np.abs(gram[mask]).max()), 1.0) if mask.any() else 0.0
+    max_off = _max_offdiag(gram, nonzero)
     zero_cols = tuple(candidates[i] for i in np.flatnonzero(~nonzero))
     return GramReport(
         gram=gram, max_offdiag=max_off, mutual_coherence=max_off, zero_columns=zero_cols
     )
 
 
-def _coherence_of_rows(rows: np.ndarray, zero_tol: float) -> float:
-    norms = np.linalg.norm(rows, axis=0)
-    nonzero = norms > zero_tol
-    safe = np.where(nonzero, norms, 1.0)
-    g = (rows / safe).T @ (rows / safe)
+def _max_offdiag(gram: np.ndarray, nonzero: np.ndarray) -> float:
+    """Largest off-diagonal |g| between nonzero columns of a normalized Gram."""
     mask = np.outer(nonzero, nonzero)
     np.fill_diagonal(mask, False)
-    return min(float(np.abs(g[mask]).max()), 1.0) if mask.any() else 0.0
+    # normalized inner products exceed 1 only through rounding; clamp so the
+    # coherence stays a true cosine even for duplicated columns
+    return min(float(np.abs(gram[mask]).max()), 1.0) if mask.any() else 0.0
 
 
 def _coherence_from_gram(ata: np.ndarray, norms2: np.ndarray, zero_tol: float) -> float:
     nonzero = norms2 > zero_tol * zero_tol
     safe = np.sqrt(np.where(nonzero, norms2, 1.0))
-    g = ata / np.outer(safe, safe)
-    mask = np.outer(nonzero, nonzero)
-    np.fill_diagonal(mask, False)
-    return min(float(np.abs(g[mask]).max()), 1.0) if mask.any() else 0.0
+    return _max_offdiag(ata / np.outer(safe, safe), nonzero)
 
 
 def greedy_place_sensors(
@@ -194,13 +186,13 @@ def greedy_place_sensors(
     first = max(remaining, key=lambda b: (int((np.abs(z[b - 1]) > zero_tol).sum()), -b))
     chosen.append(first)
     remaining.remove(first)
-    trace.append(_coherence_of_rows(z[[first - 1]], zero_tol))
 
     # incremental Gram update: adding row a maps A^T A -> A^T A + a a^T and
     # squared column norms -> norms2 + a^2, so each candidate costs O(M^2)
     a0 = z[first - 1]
     ata = np.outer(a0, a0)
     norms2 = a0 * a0
+    trace.append(_coherence_from_gram(ata, norms2, zero_tol))
 
     for _ in range(1, k):
         best_bus = None

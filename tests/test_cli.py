@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ class TestInspect:
         code, _, err = run(capsys, "inspect", "--case", "/nonexistent.case")
         assert code == EXIT_DATA
         assert "error" in err
+
+    def test_relative_case_path_named_like_header(self, capsys, tmp_path, monkeypatch):
+        shutil.copy(IEEE9, tmp_path / "gridsense-ieee9.case")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "inspect", "--case", "gridsense-ieee9.case")
+        assert code == EXIT_OK
+        assert "buses: 9" in out
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "summary.txt"

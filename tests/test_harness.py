@@ -249,6 +249,13 @@ class TestRunBenchmark:
         with pytest.raises(ValidationError):
             run_benchmark(ieee9_network, ieee9_model, [], trials=1, seed=0)
 
+    @pytest.mark.parametrize("placement", ["greedy", "random"])
+    def test_zero_trials_error(self, ieee9_network, ieee9_model, placement):
+        with pytest.raises(ValidationError):
+            run_benchmark(
+                ieee9_network, ieee9_model, [(1, 7, placement, "cs", 0.0)], trials=0, seed=0,
+            )
+
     def test_unknown_placement_error(self, ieee9_network, ieee9_model):
         with pytest.raises(ValidationError):
             run_benchmark(

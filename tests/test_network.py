@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import shutil
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gridsense import (
     ValidationError,
     build_conductance_matrix,
     build_impedance_model,
+    bundled_case_path,
     condition_report,
     fold_constant_resistance_loads,
     invert_to_impedance,
@@ -74,6 +76,11 @@ class TestLoadNetwork:
     def test_comments_ignored(self):
         text = "# comment\n" + TWO_BUS_CASE.replace("[branches]", "# mid\n[branches]")
         assert load_network(text).size == 2
+
+    def test_relative_path_named_like_header(self, tmp_path, monkeypatch):
+        shutil.copy(bundled_case_path("ieee9.case"), tmp_path / "gridsense-ieee9.case")
+        monkeypatch.chdir(tmp_path)
+        assert load_network("gridsense-ieee9.case").size == 9
 
 
 class TestNetworkValidation:

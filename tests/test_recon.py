@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from gridsense import (
     solve_bpdn,
     solve_l0_oracle,
 )
+from gridsense import recon
 from gridsense.recon import SparseEstimate
 
 from conftest import random_connected_network
@@ -226,6 +229,40 @@ class TestSolveBpdn:
         est = solve_bpdn(a, y, SolverConfig(epsilon=0.0))
         assert est.support == oracle.support
         assert np.abs(est.injections - oracle.injections).max() < 1e-4
+
+
+class TestBpdnFallback:
+    """Inputs on which the homotopy gives up, so the FISTA bisection runs."""
+
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        calls = []
+        inner = recon._bpdn_cd_bisect
+
+        def spy(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(recon, "_bpdn_cd_bisect", spy)
+        return calls
+
+    def test_near_duplicate_columns_converge(self, fallback_calls):
+        a = np.array([[1.0, 1.0 + 1e-9, 0.2], [0.3, 0.3, 1.0], [0.1, 0.1 + 1e-9, 0.5]])
+        y = np.array([1.0, 0.5, 0.2])
+        cfg = SolverConfig(epsilon=0.01)
+        start = time.perf_counter()
+        est = solve_bpdn(a, y, cfg)
+        elapsed = time.perf_counter() - start
+        assert len(fallback_calls) == 1
+        assert est.converged
+        assert np.linalg.norm(y - a @ est.injections) <= cfg.epsilon + cfg.convergence_tol
+        assert elapsed < 1.0
+
+    def test_least_squares_above_epsilon_not_converged(self, fallback_calls):
+        est = solve_bpdn(np.array([[1.0], [0.0]]), [0.0, 1.0], SolverConfig(epsilon=0.1))
+        assert len(fallback_calls) == 1
+        assert not est.converged
+        assert est.residual_norm == pytest.approx(1.0)
 
 
 class TestJacobianPowerRows:
