@@ -267,7 +267,9 @@ def run_benchmark(
 
     Each cell is a (sparsity, meters, placement, estimator, noise_std) tuple or
     an equivalent mapping. Random-placement cells average over
-    `random_placements` placements with trials split evenly among them. When
+    `random_placements` placements (at most one per trial); trial t runs on
+    placement t * n_placements // trials, so every requested trial runs and
+    the placements share them as evenly as the counts allow. When
     `epsilon` is given it overrides the noise-derived BPDN radius in every cell.
     Trials run serially; `threads` is accepted for compatibility and ignored.
     """
@@ -297,20 +299,19 @@ def run_benchmark(
         else:
             raise ValidationError(f"unknown placement method {placement!r}")
 
-        # plans split the trials evenly: plan p runs indices p * per_plan onwards
-        per_plan = trials // len(plans)
-        specs = (
+        specs = [
             ScenarioSpec(
                 network=network, model=model, placement=plan, sparsity=sparsity,
                 injection_low=low, injection_high=high, sign_policy=sign_policy,
                 noise_std=noise_std, trials=trials, seed=cseed,
             )
             for plan in plans
-        )
+        ]
+        # trial t runs on plan t * n_plans // trials: consecutive blocks of
+        # trials // n_plans or one more, covering every requested trial
         trial_results = [
-            run_trial(spec, estimator, p * per_plan + t, cfg)
-            for p, spec in enumerate(specs)
-            for t in range(per_plan)
+            run_trial(specs[t * len(specs) // trials], estimator, t, cfg)
+            for t in range(trials)
         ]
 
         n = len(trial_results)

@@ -117,6 +117,9 @@ class SparseEstimate:
     iterations_used: int
     converged: bool
     objective_trace: tuple[float, ...] = ()
+    # BPDN solver route: "zero", "lp", "homotopy" or "fallback"; "" when no
+    # BPDN solve produced the estimate
+    route: str = ""
 
 
 def _support_of(x: np.ndarray) -> tuple[int, ...]:
@@ -343,7 +346,9 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     convergent for any conditioning. Columns of A are normalized to unit
     norm internally and the solution is rescaled back, so the l1 penalty
     weights buses comparably. The objective trace is non-increasing: each
-    entry is the l1 value of the newest (best) feasible iterate.
+    entry is the l1 value of the newest (best) feasible iterate. The
+    estimate's `route` names the branch that produced it: "zero" (y within
+    epsilon of zero), "lp", "homotopy" or "fallback".
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -360,7 +365,7 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
         # zero is feasible and l1-minimal
         return SparseEstimate(
             injections=np.zeros(m), support=(), residual_norm=y_norm,
-            iterations_used=0, converged=True, objective_trace=(0.0,),
+            iterations_used=0, converged=True, objective_trace=(0.0,), route="zero",
         )
 
     col_norms = np.linalg.norm(a, axis=0)
@@ -379,6 +384,7 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
                 iterations_used=nit,
                 converged=True,
                 objective_trace=(float(np.abs(x_lp).sum()),),
+                route="lp",
             )
     else:
         hom = _bpdn_homotopy(an, y, eps, max_steps=8 * (n + m) + 32)
@@ -392,6 +398,7 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
                 iterations_used=steps,
                 converged=True,
                 objective_trace=(float(np.abs(beta).sum()),),
+                route="homotopy",
             )
 
     # fallback: bisection on the lasso penalty, each subproblem solved by
@@ -418,6 +425,7 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
         iterations_used=sweeps,
         converged=converged,
         objective_trace=tuple(trace),
+        route="fallback",
     )
 
 
@@ -638,9 +646,11 @@ def estimate_state(
         full[np.array(unknown) - 1] = est.injections
         iterations = est.iterations_used
         converged = est.converged
+        route = est.route
     else:
         iterations = 0
         converged = True
+        route = ""
 
     if meas.power_constraints:
         seed = SparseEstimate(
@@ -660,4 +670,5 @@ def estimate_state(
         residual_norm=residual,
         iterations_used=iterations,
         converged=converged,
+        route=route,
     )

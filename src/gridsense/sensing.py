@@ -15,6 +15,10 @@ PLAN_HEADER = "gridsense-plan v1"
 # treated as electrically invisible to the chosen sensors
 _ZERO_COL_RTOL = 1e-12
 
+# column pairs of the current Gram on which greedy bounds each candidate's
+# objective from below; more pairs prune more but cost O(pairs) per candidate
+_BOUND_PAIRS = 64
+
 
 @dataclass(frozen=True)
 class MeasurementMatrix:
@@ -150,6 +154,20 @@ def _coherence_from_gram(ata: np.ndarray, norms2: np.ndarray, zero_tol: float) -
     return _max_offdiag(ata / np.outer(safe, safe), nonzero)
 
 
+def _candidate_buses(m: int, k: int, candidate_sensor_buses) -> tuple[int, ...]:
+    """Candidate sensor buses (every bus by default), checked against m and k."""
+    if candidate_sensor_buses is None:
+        candidates = tuple(range(1, m + 1))
+    else:
+        candidates = tuple(candidate_sensor_buses)
+    for b in candidates:
+        if not 1 <= b <= m:
+            raise ValidationError(f"unknown bus id {b}")
+    if not 1 <= k <= len(candidates):
+        raise ValidationError(f"k={k} out of range 1..{len(candidates)}")
+    return candidates
+
+
 def greedy_place_sensors(
     model: ImpedanceModel,
     k: int,
@@ -162,21 +180,26 @@ def greedy_place_sensors(
     break toward the lowest bus id. The first row is degenerate under this
     objective (every nonzero column normalizes to +-1), so round one picks
     the row observing the most buses instead.
+
+    Candidates are pruned with a lower bound. Each round takes the
+    `_BOUND_PAIRS` column pairs with the largest |g| in the current
+    normalized Gram and, for every candidate at once, evaluates the Gram
+    entries it would give on just those pairs, with the objective's own
+    element formula, zero-column test and 1.0 clamp. That bound is a max
+    over a subset of the very floating-point values whose max is the
+    objective, so it never exceeds it; a candidate whose bound does not
+    beat the best objective so far cannot win, and only the others get the
+    full O(M^2) evaluation. Plans and traces are the ones the unpruned
+    search gives, bit for bit.
     """
     m = model.size
-    if candidate_sensor_buses is None:
-        candidate_sensor_buses = tuple(range(1, m + 1))
-    else:
-        candidate_sensor_buses = tuple(candidate_sensor_buses)
-    if not 1 <= k <= len(candidate_sensor_buses):
-        raise ValidationError(
-            f"k={k} out of range 1..{len(candidate_sensor_buses)}"
-        )
+    candidates = _candidate_buses(m, k, candidate_sensor_buses)
     z = model.impedance
     zero_tol = _ZERO_COL_RTOL * max(1.0, float(np.abs(z).max()))
+    zero_tol2 = zero_tol * zero_tol
 
-    remaining = sorted(set(candidate_sensor_buses))
-    if len(remaining) != len(candidate_sensor_buses):
+    remaining = sorted(set(candidates))
+    if len(remaining) != len(candidates):
         raise ValidationError("duplicate candidate sensor buses")
 
     chosen: list[int] = []
@@ -194,10 +217,28 @@ def greedy_place_sensors(
     norms2 = a0 * a0
     trace.append(_coherence_from_gram(ata, norms2, zero_tol))
 
+    iu, ju = np.triu_indices(m, 1)
+    cut = iu.size - min(_BOUND_PAIRS, iu.size)
     for _ in range(1, k):
+        # lower bounds: each candidate's Gram entries on the current largest pairs
+        safe = np.sqrt(np.where(norms2 > zero_tol2, norms2, 1.0))
+        top = np.argpartition(np.abs(ata[iu, ju] / (safe[iu] * safe[ju])), cut)[cut:]
+        i, j = iu[top], ju[top]
+        rows = z[np.array(remaining) - 1]
+        cand_norms2 = norms2 + rows * rows
+        nonzero = cand_norms2 > zero_tol2
+        cand_safe = np.sqrt(np.where(nonzero, cand_norms2, 1.0))
+        pair_g = np.abs(
+            (ata[i, j] + rows[:, i] * rows[:, j]) / (cand_safe[:, i] * cand_safe[:, j])
+        )
+        masked = np.where(nonzero[:, i] & nonzero[:, j], pair_g, 0.0)
+        bounds = np.minimum(masked.max(axis=1), 1.0)
+
         best_bus = None
         best_obj = math.inf
-        for b in remaining:
+        for b, bound in zip(remaining, bounds):
+            if not bound < best_obj - 1e-15:
+                continue  # objective >= bound, so b cannot beat best_obj
             a = z[b - 1]
             obj = _coherence_from_gram(ata + np.outer(a, a), norms2 + a * a, zero_tol)
             if obj < best_obj - 1e-15:
@@ -219,13 +260,7 @@ def random_place_sensors(
     model: ImpedanceModel, k: int, seed: int, candidate_sensor_buses=None
 ) -> PlacementPlan:
     """Uniform sensor placement without replacement, reproducible from the seed."""
-    m = model.size
-    if candidate_sensor_buses is None:
-        candidate_sensor_buses = tuple(range(1, m + 1))
-    else:
-        candidate_sensor_buses = tuple(candidate_sensor_buses)
-    if not 1 <= k <= len(candidate_sensor_buses):
-        raise ValidationError(f"k={k} out of range 1..{len(candidate_sensor_buses)}")
+    candidate_sensor_buses = _candidate_buses(model.size, k, candidate_sensor_buses)
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(candidate_sensor_buses), size=k, replace=False)
     chosen = tuple(sorted(candidate_sensor_buses[i] for i in picked))

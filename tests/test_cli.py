@@ -222,6 +222,17 @@ class TestBench:
             targets.append(target)
         assert targets[0].read_bytes() == targets[1].read_bytes()
 
+    def test_random_cell_runs_every_trial(self, capsys, tmp_path):
+        target = tmp_path / "r.json"
+        code, _, _ = run(
+            capsys, "bench", "--case", IEEE9, "--meters", "7", "--sparsity", "1",
+            "--placement", "random", "--trials", "150", "--seed", "1", "--out", str(target),
+        )
+        assert code == EXIT_OK
+        payload = json.loads(target.read_text())
+        assert payload["trials"] == 150
+        assert [c["trials"] for c in payload["cells"]] == [150]
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):

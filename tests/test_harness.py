@@ -256,6 +256,16 @@ class TestRunBenchmark:
                 ieee9_network, ieee9_model, [(1, 7, placement, "cs", 0.0)], trials=0, seed=0,
             )
 
+    @pytest.mark.parametrize("random_placements", [100, 40])
+    def test_random_cell_runs_every_trial(self, ieee9_network, ieee9_model, random_placements):
+        # 150 is not a multiple of the placement count
+        report = run_benchmark(
+            ieee9_network, ieee9_model, [(1, 7, "random", "min_energy", 0.0)],
+            trials=150, seed=1, random_placements=random_placements,
+        )
+        assert report.trials == 150
+        assert report.cells[0].trials == 150
+
     def test_unknown_placement_error(self, ieee9_network, ieee9_model):
         with pytest.raises(ValidationError):
             run_benchmark(

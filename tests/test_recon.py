@@ -187,6 +187,18 @@ class TestSolveBpdn:
         assert est.residual_norm <= cfg.epsilon + 1e-7
         assert est.converged
 
+    def test_route_zero(self):
+        est = solve_bpdn(np.eye(2), [0.3, 0.4], SolverConfig(epsilon=0.6))
+        assert est.route == "zero"
+
+    def test_route_lp(self):
+        a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        assert solve_bpdn(a, [2.0, 2.0], SolverConfig(epsilon=0.0)).route == "lp"
+
+    def test_route_homotopy(self):
+        a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        assert solve_bpdn(a, [2.0, 2.0], SolverConfig(epsilon=0.1)).route == "homotopy"
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_objective_trace_non_increasing(self, seed):
@@ -263,6 +275,11 @@ class TestBpdnFallback:
         assert len(fallback_calls) == 1
         assert not est.converged
         assert est.residual_norm == pytest.approx(1.0)
+
+    def test_route_fallback(self, fallback_calls):
+        est = solve_bpdn(np.array([[1.0], [0.0]]), [0.0, 1.0], SolverConfig(epsilon=0.1))
+        assert len(fallback_calls) == 1
+        assert est.route == "fallback"
 
 
 class TestJacobianPowerRows:
@@ -384,6 +401,16 @@ class TestEstimateState:
         direct = solve_bpdn(rows, y, cfg)
         assert np.allclose(est.injections, direct.injections, atol=1e-10)
 
+    def test_route_passed_on(self, ieee9_model):
+        plan = plan_for([1, 2, 3, 4, 5, 6, 7])
+        i_true = np.zeros(9)
+        i_true[4] = 1.0
+        y = ieee9_model.impedance[np.array(plan.chosen) - 1] @ i_true
+        meas = MeasurementSet(voltage_readings=dict(zip(plan.chosen, y)))
+        for eps, route in ((0.0, "lp"), (1e-3, "homotopy"), (10.0, "zero")):
+            est = estimate_state(ieee9_model, meas, plan, SolverConfig(epsilon=eps))
+            assert est.route == route
+
     def test_all_injections_known(self):
         i_true = np.array([0.5, -0.25])
         y = TWO_BUS_Z.impedance @ i_true
@@ -395,6 +422,7 @@ class TestEstimateState:
         est = estimate_state(TWO_BUS_Z, meas, plan, SolverConfig())
         assert np.allclose(est.injections, i_true)
         assert est.residual_norm < 1e-12
+        assert est.route == ""
 
     def test_meter_set_mismatch_error(self):
         plan = plan_for([1, 2])

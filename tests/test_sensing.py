@@ -20,6 +20,8 @@ from gridsense import (
     random_place_sensors,
     recovery_bound_report,
 )
+from gridsense import sensing
+from gridsense.network import ImpedanceModel
 
 
 def identity_model(m: int):
@@ -27,6 +29,49 @@ def identity_model(m: int):
 
 
 TWO_BUS_Z = invert_to_impedance(np.array([[1.0, -1.0], [-1.0, 2.0]]))  # Z=[[2,1],[1,1]]
+
+
+def _reference_greedy(model, k, candidate_sensor_buses=None):
+    """Unpruned greedy: every remaining candidate gets the full evaluation.
+
+    The oracle for greedy_place_sensors, which must return the same plan and
+    the same trace bit for bit.
+    """
+    z = model.impedance
+    zero_tol = sensing._ZERO_COL_RTOL * max(1.0, float(np.abs(z).max()))
+    if candidate_sensor_buses is None:
+        candidate_sensor_buses = range(1, model.size + 1)
+    remaining = sorted(candidate_sensor_buses)
+    first = max(remaining, key=lambda b: (int((np.abs(z[b - 1]) > zero_tol).sum()), -b))
+    chosen = [first]
+    remaining.remove(first)
+    ata = np.outer(z[first - 1], z[first - 1])
+    norms2 = z[first - 1] ** 2
+    trace = [sensing._coherence_from_gram(ata, norms2, zero_tol)]
+    for _ in range(1, k):
+        best_bus = None
+        best_obj = math.inf
+        for b in remaining:
+            a = z[b - 1]
+            obj = sensing._coherence_from_gram(ata + np.outer(a, a), norms2 + a * a, zero_tol)
+            if obj < best_obj - 1e-15:
+                best_obj = obj
+                best_bus = b
+        chosen.append(best_bus)
+        remaining.remove(best_bus)
+        a = z[best_bus - 1]
+        ata += np.outer(a, a)
+        norms2 += a * a
+        trace.append(best_obj)
+    return PlacementPlan(
+        chosen=tuple(chosen), objective_trace=tuple(trace), final_coherence=trace[-1]
+    )
+
+
+def assert_same_plan(plan, ref):
+    assert plan.chosen == ref.chosen
+    assert plan.objective_trace == ref.objective_trace
+    assert plan.final_coherence == ref.final_coherence
 
 
 class TestAssembleMeasurementMatrix:
@@ -152,6 +197,87 @@ class TestGreedyPlacement:
         plan = greedy_place_sensors(ieee118_model, 20)
         assert len(set(plan.chosen)) == 20
 
+    @pytest.mark.parametrize("bad", [0, 10])
+    def test_unknown_candidate_bus(self, ieee9_model, bad):
+        with pytest.raises(ValidationError, match="unknown bus id"):
+            greedy_place_sensors(ieee9_model, 2, candidate_sensor_buses=[bad, 3])
+
+
+class TestGreedyMatchesReference:
+    """The pruned greedy returns exactly the unpruned search's plans."""
+
+    # the reference's round r never depends on k, so the plan for k is the
+    # first k rounds of the plan for the largest k
+    @pytest.mark.parametrize(
+        "model_name, ks",
+        [("ieee9_model", range(1, 10)), ("ieee118_model", (1, 2, 20, 60, 90, 118))],
+    )
+    def test_bundled_cases(self, request, model_name, ks):
+        model = request.getfixturevalue(model_name)
+        ref = _reference_greedy(model, max(ks))
+        for k in ks:
+            plan = greedy_place_sensors(model, k)
+            assert plan.chosen == ref.chosen[:k]
+            assert plan.objective_trace == ref.objective_trace[:k]
+
+    def test_candidate_restriction(self, ieee9_model, ieee118_model):
+        for model, cands, k in (
+            (ieee9_model, [2, 4, 6, 8], 3),
+            (ieee118_model, list(range(118, 0, -3)), 25),
+        ):
+            assert_same_plan(
+                greedy_place_sensors(model, k, candidate_sensor_buses=cands),
+                _reference_greedy(model, k, cands),
+            )
+
+    def test_prunes_candidates_on_ieee118(self, ieee118_model, monkeypatch):
+        calls = []
+        inner = sensing._coherence_from_gram
+
+        def spy(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(sensing, "_coherence_from_gram", spy)
+        greedy_place_sensors(ieee118_model, 20)
+        # the unpruned search makes 1 + (117 + 116 + ... + 99) = 2053 calls
+        assert len(calls) < 2053 // 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(5, 40),
+        n_twins=st.integers(0, 4),
+        n_zero=st.integers(0, 2),
+        data=st.data(),
+    )
+    def test_random_models(self, seed, m, n_twins, n_zero, data):
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((m, m))
+        z = b @ b.T + 0.1 * np.eye(m)
+        # twin buses: row and column copies (scaled) give exactly collinear
+        # columns, the saturated regime where the objective clamps at 1.0
+        for _ in range(n_twins):
+            src, dst = rng.choice(m, size=2, replace=False)
+            scale = float(rng.choice([1.0, -2.0, 0.5]))
+            z[:, dst] = scale * z[:, src]
+            z[dst, :] = scale * z[src, :]
+        # invisible buses: a zero row observes nothing, a zero column is unseen
+        for r in rng.choice(m, size=n_zero, replace=False):
+            z[r, :] = 0.0
+            z[:, r] = 0.0
+        model = ImpedanceModel(
+            conductance=np.eye(m), impedance=z, folded_loads=(), condition_estimate=1.0
+        )
+        cands = data.draw(
+            st.lists(st.integers(1, m), min_size=1, max_size=m, unique=True), label="cands"
+        )
+        k = data.draw(st.integers(1, len(cands)), label="k")
+        assert_same_plan(
+            greedy_place_sensors(model, k, candidate_sensor_buses=cands),
+            _reference_greedy(model, k, cands),
+        )
+
 
 class TestRandomPlacement:
     def test_seed_determinism(self, ieee9_model):
@@ -173,6 +299,11 @@ class TestRandomPlacement:
     def test_k_out_of_range(self, ieee9_model):
         with pytest.raises(ValidationError):
             random_place_sensors(ieee9_model, 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [0, 10])
+    def test_unknown_candidate_bus(self, ieee9_model, bad):
+        with pytest.raises(ValidationError, match="unknown bus id"):
+            random_place_sensors(ieee9_model, 2, seed=0, candidate_sensor_buses=[bad, 3])
 
 
 class TestRecoveryBound:
