@@ -154,6 +154,7 @@ def _cmd_estimate(args) -> int:
             "residual_norm": est.residual_norm,
             "iterations_used": est.iterations_used,
             "converged": est.converged,
+            "route": est.route,
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     elif args.out and args.out.endswith(".csv"):
@@ -166,6 +167,7 @@ def _cmd_estimate(args) -> int:
         lines.append(f"support: {' '.join(str(b) for b in est.support) or 'empty'}")
         lines.append(f"residual: {est.residual_norm:.6g}")
         lines.append(f"converged: {'yes' if est.converged else 'no'} ({est.iterations_used} iterations)")
+        lines.append(f"route: {est.route or 'none'}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

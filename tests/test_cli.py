@@ -118,6 +118,7 @@ class TestEstimate:
         assert code == EXIT_OK
         assert "support: 6" in out
         assert "converged: yes" in out
+        assert "route: lp" in out
 
     def test_json_output(self, capsys, scenario, tmp_path):
         plan_path, snap_path, i_true = scenario
@@ -131,6 +132,7 @@ class TestEstimate:
         payload = json.loads(target.read_text())
         assert payload["support"] == [6]
         assert payload["injections"]["6"] == pytest.approx(1.25, abs=1e-6)
+        assert payload["route"] == "lp"
 
     def test_csv_output(self, capsys, scenario, tmp_path):
         plan_path, snap_path, _ = scenario

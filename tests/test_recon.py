@@ -8,20 +8,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from gridsense import (
     CaseParseError,
     MeasurementSet,
     NewtonDivergenceError,
     PlacementPlan,
+    ScenarioSpec,
     SolverConfig,
     ValidationError,
     apply_current_offsets,
     constant_power_newton,
     estimate_state,
+    greedy_place_sensors,
     invert_to_impedance,
     jacobian_power_rows,
     min_energy,
+    run_trial,
     solve_bpdn,
     solve_l0_oracle,
 )
@@ -280,6 +284,94 @@ class TestBpdnFallback:
         est = solve_bpdn(np.array([[1.0], [0.0]]), [0.0, 1.0], SolverConfig(epsilon=0.1))
         assert len(fallback_calls) == 1
         assert est.route == "fallback"
+
+    @pytest.mark.parametrize(
+        "a, y",
+        [([[1.0], [0.0]], [0.0, 1.0]), ([[1.0, 1.0], [0.0, 0.0]], [1.0, 1e-3])],
+    )
+    def test_infeasible_lp_not_converged(self, fallback_calls, a, y):
+        # y outside range(A): the equality LP has no solution
+        est = solve_bpdn(np.array(a), y, SolverConfig(epsilon=0.0))
+        assert len(fallback_calls) == 1
+        assert est.route == "fallback"
+        assert est.converged is False
+
+
+def _reference_bp_lp(an, y, ftol):
+    """The eps=0 LP through scipy's linprog(method="highs"): oracle for _solve_bp_lp."""
+    m = an.shape[1]
+    res = linprog(
+        np.ones(2 * m), A_eq=np.hstack([an, -an]), b_eq=y, bounds=(0, None), method="highs"
+    )
+    if not res.success:
+        return None
+    x = res.x[:m] - res.x[m:]
+    x[np.abs(x) < 1e-12 * max(1.0, np.abs(x).max())] = 0.0
+    residual = float(np.linalg.norm(y - an @ x))
+    if residual > ftol:
+        return None
+    return x, residual, int(res.nit)
+
+
+class TestBpLpOracle:
+    """The direct HiGHS call returns linprog's x and iteration count, bit for bit."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        inner = recon._solve_bp_lp
+
+        def spy(an, y, ftol):
+            out = inner(an, y, ftol)
+            calls.append(((an, y, ftol), out))
+            return out
+
+        monkeypatch.setattr(recon, "_solve_bp_lp", spy)
+        return calls
+
+    @staticmethod
+    def assert_matches_linprog(calls):
+        for args, got in calls:
+            want = _reference_bp_lp(*args)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize(
+        "a, y",
+        [
+            ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [2.0, 2.0]),
+            ([[1.0, 0.0], [0.0, 1.0]], [0.3, 0.4]),
+            ([[1.0], [0.0]], [2.0, 0.0]),
+            ([[1.0], [0.0]], [0.0, 1.0]),
+            ([[1.0, 1.0], [0.0, 0.0]], [1.0, 1e-3]),
+        ],
+    )
+    def test_hand_matrices_with_exact_zeros(self, lp_calls, a, y):
+        solve_bpdn(np.array(a), y, SolverConfig(epsilon=0.0))
+        assert len(lp_calls) == 1
+        self.assert_matches_linprog(lp_calls)
+
+    @pytest.mark.parametrize("meters", [7, 8])
+    @pytest.mark.parametrize("sparsity", [1, 2, 3])
+    def test_ieee9_greedy_plans(self, lp_calls, ieee9_network, ieee9_model, meters, sparsity):
+        plan = greedy_place_sensors(ieee9_model, meters)
+        spec = ScenarioSpec(ieee9_network, ieee9_model, plan, sparsity, seed=meters * 10 + sparsity)
+        for t in range(30):
+            run_trial(spec, "cs", t)
+        assert len(lp_calls) == 30
+        assert all(out is not None for _, out in lp_calls)
+        self.assert_matches_linprog(lp_calls)
+
+    def test_ieee118_greedy_plan(self, lp_calls, ieee118_network, ieee118_model):
+        plan = greedy_place_sensors(ieee118_model, 60)
+        spec = ScenarioSpec(ieee118_network, ieee118_model, plan, 2, seed=118)
+        for t in range(24):
+            run_trial(spec, "cs", t)
+        assert len(lp_calls) == 24
+        assert all(out is not None for _, out in lp_calls)
+        self.assert_matches_linprog(lp_calls)
 
 
 class TestJacobianPowerRows:
