@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -9,13 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import DcNetwork, ImpedanceModel, ValidationError
-from .recon import (
-    MeasurementSet,
-    SolverConfig,
-    apply_current_offsets,
-    estimate_state,
-    min_energy,
-)
+from .recon import BpdnProblem, SolverConfig, min_energy
+# no longer called here; kept importable from this module for callers that
+# look it up by this name (bench/tracing.py)
+from .recon import estimate_state  # noqa: F401
 from .sensing import PlacementPlan, greedy_place_sensors, random_place_sensors
 
 SIGN_POLICIES = ("mixed", "sources", "loads")
@@ -58,6 +56,9 @@ class TrialResult:
     max_relative_error: float
     rmse: float
     success: bool
+    # the BPDN estimate's route and convergence; "" and True for min_energy
+    route: str
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -139,12 +140,20 @@ def eligible_injection_buses(network: DcNetwork) -> list[int]:
 
 def sample_sparse_state(m: int, spec: ScenarioSpec, trial_index: int) -> np.ndarray:
     """Random S-sparse injection vector, deterministic in (seed, trial_index)."""
-    rng = np.random.default_rng((spec.seed, trial_index, 0))
+    return _draw_sparse_state(m, spec, _eligible_for(spec), trial_index)
+
+
+def _eligible_for(spec: ScenarioSpec) -> list[int]:
     eligible = eligible_injection_buses(spec.network)
     if spec.sparsity > len(eligible):
         raise ValidationError(
             f"sparsity {spec.sparsity} exceeds the {len(eligible)} eligible buses"
         )
+    return eligible
+
+
+def _draw_sparse_state(m, spec, eligible, trial_index) -> np.ndarray:
+    rng = np.random.default_rng((spec.seed, trial_index, 0))
     support = rng.choice(len(eligible), size=spec.sparsity, replace=False)
     magnitudes = rng.uniform(spec.injection_low, spec.injection_high, spec.sparsity)
     if spec.sign_policy == "mixed":
@@ -194,56 +203,91 @@ def run_trial(
     cfg: SolverConfig | None = None,
 ) -> TrialResult:
     """sample -> simulate -> noise -> estimate -> score, for one trial."""
-    if estimator not in ESTIMATORS:
-        raise ValidationError(f"estimator must be one of {ESTIMATORS}")
-    unsupported = [
-        d.kind for d in spec.network.devices
-        if d.kind in ("voltage_source", "constant_power")
-    ]
-    if unsupported:
-        raise ValidationError(
-            f"benchmark scenarios support current sources and resistance loads only, "
-            f"found {sorted(set(unsupported))}"
-        )
-    model = spec.model
-    m = model.size
-    fixed = {
-        d.bus: d.value for d in spec.network.devices if d.kind == "current_source"
-    }
-    i_true = sample_sparse_state(m, spec, trial_index)
-    for b, val in fixed.items():
-        i_true[b - 1] = val
-    y = simulate_measurements(model, spec.placement, i_true)
-    y = add_noise(y, spec.noise_std, spec.seed, trial_index)
+    return _TrialContext(spec, estimator, cfg).run(trial_index)
 
-    if estimator == "cs":
-        if cfg is None:
-            cfg = SolverConfig(epsilon=default_epsilon(spec.noise_std, len(y)))
-        meas = MeasurementSet(
-            voltage_readings=dict(zip(spec.placement.chosen, y)),
-            known_injections=fixed,
+
+class _TrialContext:
+    """What is fixed for a scenario and estimator; `run(t)` does trial t's part.
+
+    Holds the checks, the fixed injections, the eligible buses, the plan's
+    Z rows and the estimator's set-up. `cs` solves on the rows in ascending
+    bus order with the known injections offset, as `estimate_state` would
+    for the same snapshot, so the LP sees the same matrix and takes the
+    same pivots.
+    """
+
+    def __init__(self, spec: ScenarioSpec, estimator: str, cfg: SolverConfig | None):
+        if estimator not in ESTIMATORS:
+            raise ValidationError(f"estimator must be one of {ESTIMATORS}")
+        unsupported = [
+            d.kind for d in spec.network.devices
+            if d.kind in ("voltage_source", "constant_power")
+        ]
+        if unsupported:
+            raise ValidationError(
+                f"benchmark scenarios support current sources and resistance loads only, "
+                f"found {sorted(set(unsupported))}"
+            )
+        m = spec.model.size
+        self.spec = spec
+        self.fixed = {
+            d.bus: d.value for d in spec.network.devices if d.kind == "current_source"
+        }
+        self.eligible = _eligible_for(spec)
+        chosen = np.array(spec.placement.chosen)
+        # in plan order: the readings are simulated in this order
+        self.rows = spec.model.impedance[chosen - 1]
+        self.order = np.argsort(chosen) if estimator == "cs" else slice(None)
+        rows = self.rows[self.order]
+        self.unknown = np.array([b for b in range(1, m + 1) if b not in self.fixed]) - 1
+        known = sorted(self.fixed)
+        self.offset = (
+            rows[:, np.array(known) - 1] @ np.array([self.fixed[b] for b in known])
+            if known else 0.0
         )
-        estimate = estimate_state(model, meas, spec.placement, cfg).injections
-    else:
-        y_off = apply_current_offsets(y, model, spec.placement.chosen, fixed)
-        unknown = [b for b in range(1, m + 1) if b not in fixed]
-        a = model.impedance[np.array(spec.placement.chosen) - 1][:, np.array(unknown) - 1]
+        a = rows[:, self.unknown]
+        if estimator == "cs":
+            if cfg is None:
+                cfg = SolverConfig(epsilon=default_epsilon(spec.noise_std, len(chosen)))
+            self.cfg = cfg
+            self.problem = BpdnProblem(a)
+        else:
+            self.a = a
+            self.problem = None
+
+    def run(self, trial_index: int) -> TrialResult:
+        spec = self.spec
+        m = spec.model.size
+        i_true = _draw_sparse_state(m, spec, self.eligible, trial_index)
+        for b, val in self.fixed.items():
+            i_true[b - 1] = val
+        y = add_noise(self.rows @ i_true, spec.noise_std, spec.seed, trial_index)
+        y = y[self.order] - self.offset
+
         estimate = np.zeros(m)
-        estimate[np.array(unknown) - 1] = min_energy(a, y_off)
-        for b, val in fixed.items():
+        for b, val in self.fixed.items():
             estimate[b - 1] = val
+        if self.problem is not None:
+            est = self.problem.solve(y, self.cfg)
+            estimate[self.unknown] = est.injections
+            route, converged = est.route, est.converged
+        else:
+            estimate[self.unknown] = min_energy(self.a, y)
+            route, converged = "", True
 
-    err = estimate - i_true
-    denom = float(np.abs(i_true).max())
-    max_rel = float(np.abs(err).max() / denom)
-    rmse = float(np.sqrt(np.mean(err**2)))
-    return TrialResult(
-        true_injections=i_true,
-        estimated_injections=estimate,
-        max_relative_error=max_rel,
-        rmse=rmse,
-        success=max_rel < SUCCESS_THRESHOLD,
-    )
+        err = estimate - i_true
+        denom = float(np.abs(i_true).max())
+        max_rel = float(np.abs(err).max() / denom)
+        rmse = float(np.sqrt(np.mean(err**2)))
+        return TrialResult(
+            true_injections=i_true,
+            estimated_injections=estimate,
+            max_relative_error=max_rel,
+            rmse=rmse,
+            success=max_rel < SUCCESS_THRESHOLD,
+            route=route,
+            converged=converged,
+        )
 
 
 def _cell_seed(seed: int, index: int) -> int:
@@ -299,20 +343,18 @@ def run_benchmark(
         else:
             raise ValidationError(f"unknown placement method {placement!r}")
 
-        specs = [
-            ScenarioSpec(
-                network=network, model=model, placement=plan, sparsity=sparsity,
+        # trial t runs on plan t * n_plans // trials: consecutive blocks of
+        # trials // n_plans or one more, covering every requested trial. A
+        # plan's context lives for its block only
+        trial_results = []
+        for p, block in itertools.groupby(range(trials), lambda t: t * len(plans) // trials):
+            spec = ScenarioSpec(
+                network=network, model=model, placement=plans[p], sparsity=sparsity,
                 injection_low=low, injection_high=high, sign_policy=sign_policy,
                 noise_std=noise_std, trials=trials, seed=cseed,
             )
-            for plan in plans
-        ]
-        # trial t runs on plan t * n_plans // trials: consecutive blocks of
-        # trials // n_plans or one more, covering every requested trial
-        trial_results = [
-            run_trial(specs[t * len(specs) // trials], estimator, t, cfg)
-            for t in range(trials)
-        ]
+            context = _TrialContext(spec, estimator, cfg)
+            trial_results += [context.run(t) for t in block]
 
         n = len(trial_results)
         ratio = sum(1 for r in trial_results if r.success) / n

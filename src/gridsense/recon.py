@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-# private module: linprog's HiGHS without its per-call wrapper; TestBpLpOracle guards it
-from scipy.optimize._highspy import _core as _highs
 
 from .network import CaseParseError, ImpedanceModel, ValidationError
 from .sensing import PlacementPlan
@@ -17,14 +16,8 @@ SNAPSHOT_HEADER = "gridsense-snapshot v1"
 # entries below this fraction of the largest estimate are reported as zero
 SUPPORT_THRESHOLD_REL = 1e-6
 
-# the options linprog(method="highs") sets, so the direct call takes the
-# same pivots and returns the same vertex
-_BP_LP_OPTIONS = _highs.HighsOptions()
-_BP_LP_OPTIONS.presolve = "on"
-_BP_LP_OPTIONS.simplex_strategy = int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-_BP_LP_OPTIONS.highs_debug_level = int(_highs.HighsDebugLevel.kHighsDebugLevelNone)
-_BP_LP_OPTIONS.output_flag = False
-_BP_LP_OPTIONS.log_to_console = False
+# each thread's HiGHS solver and the bindings module, set by _highs_solver
+_HIGHS = threading.local()
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -205,44 +198,80 @@ def solve_l0_oracle(a, y, s_max: int, tol: float) -> SparseEstimate | None:
     return None
 
 
-def _solve_bp_lp(an, y, ftol):
-    """Equality-constrained basis pursuit as a linear program, solved by HiGHS.
+def _highs_solver():
+    """(HiGHS bindings, this thread's solver), made on the thread's first call.
 
-    min 1.(p + q) s.t. A(p - q) = y, p, q >= 0 with x = p - q. HiGHS's dual
-    simplex is called directly, on a fresh solver given the model and options
-    that linprog(method="highs") would pass it, so x and the iteration count
-    are linprog's. Returns None when HiGHS reports an error or a non-optimal
-    model, or leaves a non-finite x or a residual above tolerance, in which
-    case the caller falls back to the iterative path.
+    The solver gets linprog(method="highs")'s options once. passModel clears
+    the previous model, basis and solution, so reuse changes no answer.
     """
+    try:
+        return _HIGHS.core, _HIGHS.solver
+    except AttributeError:
+        pass
+    # private module: linprog's HiGHS without its per-call wrapper; TestBpLpOracle
+    # guards it. Imported here because scipy.optimize is most of the import
+    # time of gridsense, and only the eps=0 LP needs it
+    from scipy.optimize._highspy import _core
+
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
+    options.output_flag = False
+    options.log_to_console = False
+    solver = _core._Highs()
+    if solver.passOptions(options) == _core.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the basis-pursuit LP options")
+    _HIGHS.core, _HIGHS.solver = _core, solver
+    return _core, solver
+
+
+def _bp_lp_template(an):
+    """Basis pursuit min 1.(p + q) s.t. A(p - q) = y, p, q >= 0, without its row bounds.
+
+    The constraint matrix is the column-wise [A, -A] with exact zeros
+    dropped, like linprog's CSC copy; each solve sets the row bounds to y.
+    """
+    core, _ = _highs_solver()
     n, m = an.shape
-    # column-wise [A, -A] with exact zeros dropped, like linprog's CSC copy
     nz = an.T != 0
     rows = np.nonzero(nz)[1]
     vals = an.T[nz]
     counts = np.tile(nz.sum(axis=1), 2)
-    lp = _highs.HighsLp()
+    lp = core.HighsLp()
     lp.num_col_ = 2 * m
     lp.num_row_ = n
     lp.col_cost_ = np.ones(2 * m)
     lp.col_lower_ = np.zeros(2 * m)
-    lp.col_upper_ = np.full(2 * m, _highs.kHighsInf)
-    lp.row_lower_ = y
-    lp.row_upper_ = y
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.col_upper_ = np.full(2 * m, core.kHighsInf)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     lp.a_matrix_.num_col_ = 2 * m
     lp.a_matrix_.num_row_ = n
     lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(counts)))
     lp.a_matrix_.index_ = np.tile(rows, 2)
     lp.a_matrix_.value_ = np.concatenate((vals, -vals))
+    return lp
 
-    solver = _highs._Highs()
-    error = _highs.HighsStatus.kError
+
+def _solve_bp_lp(an, y, ftol, lp):
+    """Equality-constrained basis pursuit as a linear program, solved by HiGHS.
+
+    `lp` is `_bp_lp_template(an)`; its row bounds are set to y here. HiGHS's
+    dual simplex is called directly, on this thread's solver, with the model
+    and options that linprog(method="highs") would pass it, so x and the
+    iteration count are linprog's. Returns None when HiGHS reports an error
+    or a non-optimal model, or leaves a non-finite x or a residual above
+    tolerance, in which case the caller falls back to the iterative path.
+    """
+    core, solver = _highs_solver()
+    m = an.shape[1]
+    lp.row_lower_ = y
+    lp.row_upper_ = y
+    error = core.HighsStatus.kError
     if (
-        solver.passOptions(_BP_LP_OPTIONS) == error
-        or solver.passModel(lp) == error
+        solver.passModel(lp) == error
         or solver.run() == error
-        or solver.getModelStatus() != _highs.HighsModelStatus.kOptimal
+        or solver.getModelStatus() != core.HighsModelStatus.kOptimal
     ):
         return None
     z = np.array(solver.getSolution().col_value)
@@ -342,9 +371,11 @@ def _bpdn_homotopy(an, y, eps, max_steps):
             beta[active] = phi - cross * psi
             # optimality certificate: no correlation may exceed the dual
             # weight, and every nonzero coefficient's correlation must sit
-            # at the weight with matching sign
+            # at the weight with matching sign. The slack is relative to the
+            # weight only: at a tiny eps the weight itself is tiny, and any
+            # absolute term would pass points that are merely feasible
             corr = an.T @ (y - an @ beta)
-            slack = cross * 1e-6 + 1e-9
+            slack = cross * 1e-6
             if np.abs(corr).max() > cross + slack:
                 return None
             nz = np.flatnonzero(beta)
@@ -387,84 +418,107 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     entry is the l1 value of the newest (best) feasible iterate. The
     estimate's `route` names the branch that produced it: "zero" (y within
     epsilon of zero), "lp", "homotopy" or "fallback".
+
+    This is `BpdnProblem(a).solve(y, cfg)`; to solve for many y against one
+    A, set the problem up once.
     """
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if a.size == 0:
-        raise ValidationError("empty system matrix")
-    if not (np.isfinite(a).all() and np.isfinite(y).all()):
-        raise ValidationError("non-finite entries in solver input")
-    n, m = a.shape
-    eps = cfg.epsilon
-    y_norm = float(np.linalg.norm(y))
-    ftol = max(cfg.convergence_tol, 1e-12) * max(1.0, y_norm)
+    return BpdnProblem(a).solve(y, cfg)
 
-    if y_norm <= eps:
-        # zero is feasible and l1-minimal
-        return SparseEstimate(
-            injections=np.zeros(m), support=(), residual_norm=y_norm,
-            iterations_used=0, converged=True, objective_trace=(0.0,), route="zero",
+
+class BpdnProblem:
+    """`solve_bpdn` against one matrix A, set up once and solved for many y.
+
+    The set-up validates A and normalizes its columns. The first epsilon = 0
+    solve builds the LP without its right-hand side; each LP solve sets the
+    row bounds to y and runs on its thread's one HiGHS solver. One thread at
+    a time may solve against a given problem.
+    """
+
+    def __init__(self, a):
+        a = np.asarray(a, dtype=float)
+        if a.size == 0:
+            raise ValidationError("empty system matrix")
+        if not np.isfinite(a).all():
+            raise ValidationError("non-finite entries in solver input")
+        col_norms = np.linalg.norm(a, axis=0)
+        self.col_norms = np.where(col_norms > 0, col_norms, 1.0)
+        self.an = a / self.col_norms
+        self._lp = None
+
+    def solve(self, y, cfg: SolverConfig) -> SparseEstimate:
+        y = np.asarray(y, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValidationError("non-finite entries in solver input")
+        an, col_norms = self.an, self.col_norms
+        n, m = an.shape
+        eps = cfg.epsilon
+        y_norm = float(np.linalg.norm(y))
+        ftol = max(cfg.convergence_tol, 1e-12) * max(1.0, y_norm)
+
+        if y_norm <= eps:
+            # zero is feasible and l1-minimal
+            return SparseEstimate(
+                injections=np.zeros(m), support=(), residual_norm=y_norm,
+                iterations_used=0, converged=True, objective_trace=(0.0,), route="zero",
+            )
+
+        if eps == 0.0:
+            if self._lp is None:
+                self._lp = _bp_lp_template(an)
+            lp = _solve_bp_lp(an, y, ftol, self._lp)
+            if lp is not None:
+                x_lp, res_lp, nit = lp
+                x = x_lp / col_norms
+                return SparseEstimate(
+                    injections=x,
+                    support=_support_of(x),
+                    residual_norm=res_lp,
+                    iterations_used=nit,
+                    converged=True,
+                    objective_trace=(float(np.abs(x_lp).sum()),),
+                    route="lp",
+                )
+        else:
+            hom = _bpdn_homotopy(an, y, eps, max_steps=8 * (n + m) + 32)
+            if hom is not None:
+                beta, res_h, steps = hom
+                x = beta / col_norms
+                return SparseEstimate(
+                    injections=x,
+                    support=_support_of(x),
+                    residual_norm=res_h,
+                    iterations_used=steps,
+                    converged=True,
+                    objective_trace=(float(np.abs(beta).sum()),),
+                    route="homotopy",
+                )
+
+        # fallback: bisection on the lasso penalty, each subproblem solved by
+        # accelerated proximal gradient (FISTA). Convergent regardless of
+        # conditioning; the working epsilon is floored at ftol so the equality
+        # limit still terminates
+        eps_eff = max(eps, ftol)
+        best_x, best_res, sweeps, trace, closed = _bpdn_cd_bisect(
+            an, y, eps_eff, cfg.max_iterations, max(cfg.convergence_tol, 1e-12)
         )
+        converged = closed and best_x is not None
+        if best_x is None:
+            # even the unpenalized least-squares fit sits above epsilon
+            best_x, *_ = np.linalg.lstsq(an, y, rcond=None)
+            best_res = float(np.linalg.norm(y - an @ best_x))
+            trace = (float(np.abs(best_x).sum()),)
+            converged = False
 
-    col_norms = np.linalg.norm(a, axis=0)
-    col_norms = np.where(col_norms > 0, col_norms, 1.0)
-    an = a / col_norms
-
-    if eps == 0.0:
-        lp = _solve_bp_lp(an, y, ftol)
-        if lp is not None:
-            x_lp, res_lp, nit = lp
-            x = x_lp / col_norms
-            return SparseEstimate(
-                injections=x,
-                support=_support_of(x),
-                residual_norm=res_lp,
-                iterations_used=nit,
-                converged=True,
-                objective_trace=(float(np.abs(x_lp).sum()),),
-                route="lp",
-            )
-    else:
-        hom = _bpdn_homotopy(an, y, eps, max_steps=8 * (n + m) + 32)
-        if hom is not None:
-            beta, res_h, steps = hom
-            x = beta / col_norms
-            return SparseEstimate(
-                injections=x,
-                support=_support_of(x),
-                residual_norm=res_h,
-                iterations_used=steps,
-                converged=True,
-                objective_trace=(float(np.abs(beta).sum()),),
-                route="homotopy",
-            )
-
-    # fallback: bisection on the lasso penalty, each subproblem solved by
-    # accelerated proximal gradient (FISTA). Convergent regardless of
-    # conditioning; the working epsilon is floored at ftol so the equality
-    # limit still terminates
-    eps_eff = max(eps, ftol)
-    best_x, best_res, sweeps, trace, closed = _bpdn_cd_bisect(
-        an, y, eps_eff, cfg.max_iterations, max(cfg.convergence_tol, 1e-12)
-    )
-    converged = closed and best_x is not None
-    if best_x is None:
-        # even the unpenalized least-squares fit sits above epsilon
-        best_x, *_ = np.linalg.lstsq(an, y, rcond=None)
-        best_res = float(np.linalg.norm(y - an @ best_x))
-        trace = (float(np.abs(best_x).sum()),)
-        converged = False
-
-    x = best_x / col_norms
-    return SparseEstimate(
-        injections=x,
-        support=_support_of(x),
-        residual_norm=best_res,
-        iterations_used=sweeps,
-        converged=converged,
-        objective_trace=tuple(trace),
-        route="fallback",
-    )
+        x = best_x / col_norms
+        return SparseEstimate(
+            injections=x,
+            support=_support_of(x),
+            residual_norm=best_res,
+            iterations_used=sweeps,
+            converged=converged,
+            objective_trace=tuple(trace),
+            route="fallback",
+        )
 
 
 def _bpdn_cd_bisect(an, y, eps, inner_cap, tol):

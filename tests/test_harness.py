@@ -7,19 +7,28 @@ import pytest
 
 from gridsense import (
     BenchmarkReport,
+    MeasurementSet,
     ScenarioSpec,
+    SolverConfig,
+    TrialResult,
     ValidationError,
     add_noise,
+    apply_current_offsets,
     build_impedance_model,
     default_epsilon,
     eligible_injection_buses,
+    estimate_state,
     greedy_place_sensors,
     invert_to_impedance,
+    min_energy,
+    random_place_sensors,
     run_benchmark,
     run_trial,
     sample_sparse_state,
     simulate_measurements,
 )
+from gridsense import recon
+from gridsense.harness import SUCCESS_THRESHOLD
 from gridsense.network import Branch, Bus, DcNetwork, InjectionDevice
 from gridsense.sensing import PlacementPlan
 
@@ -200,6 +209,145 @@ class TestRunTrial:
         spec = ScenarioSpec(network=net, model=model, placement=plan, sparsity=1, seed=0)
         with pytest.raises(ValidationError):
             run_trial(spec, "cs", 0)
+
+
+def _reference_run_trial(spec, estimator, trial_index, cfg=None):
+    """run_trial through the general snapshot pipeline, one trial at a time.
+
+    The test-only oracle for run_trial's per-plan context: the cs estimate
+    goes through MeasurementSet and estimate_state, with every per-plan
+    quantity recomputed for the trial.
+    """
+    model = spec.model
+    m = model.size
+    fixed = {
+        d.bus: d.value for d in spec.network.devices if d.kind == "current_source"
+    }
+    i_true = sample_sparse_state(m, spec, trial_index)
+    for b, val in fixed.items():
+        i_true[b - 1] = val
+    y = simulate_measurements(model, spec.placement, i_true)
+    y = add_noise(y, spec.noise_std, spec.seed, trial_index)
+
+    if estimator == "cs":
+        if cfg is None:
+            cfg = SolverConfig(epsilon=default_epsilon(spec.noise_std, len(y)))
+        meas = MeasurementSet(
+            voltage_readings=dict(zip(spec.placement.chosen, y)),
+            known_injections=fixed,
+        )
+        est = estimate_state(model, meas, spec.placement, cfg)
+        estimate, route, converged = est.injections, est.route, est.converged
+    else:
+        y_off = apply_current_offsets(y, model, spec.placement.chosen, fixed)
+        unknown = [b for b in range(1, m + 1) if b not in fixed]
+        a = model.impedance[np.array(spec.placement.chosen) - 1][:, np.array(unknown) - 1]
+        estimate = np.zeros(m)
+        estimate[np.array(unknown) - 1] = min_energy(a, y_off)
+        for b, val in fixed.items():
+            estimate[b - 1] = val
+        route, converged = "", True
+
+    err = estimate - i_true
+    denom = float(np.abs(i_true).max())
+    max_rel = float(np.abs(err).max() / denom)
+    rmse = float(np.sqrt(np.mean(err**2)))
+    return TrialResult(
+        true_injections=i_true,
+        estimated_injections=estimate,
+        max_relative_error=max_rel,
+        rmse=rmse,
+        success=max_rel < SUCCESS_THRESHOLD,
+        route=route,
+        converged=converged,
+    )
+
+
+def assert_trials_identical(got, want):
+    for name in ("true_injections", "estimated_injections"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("max_relative_error", "rmse"):
+        assert getattr(got, name).hex() == getattr(want, name).hex(), name
+    assert (got.success, got.route, got.converged) == (want.success, want.route, want.converged)
+
+
+class TestRunTrialMatchesReference:
+    """run_trial's per-plan context gives the snapshot pipeline's results, bit for bit."""
+
+    @pytest.mark.parametrize("estimator", ["cs", "min_energy"])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    @pytest.mark.parametrize("placement", ["greedy", "random"])
+    def test_ieee9(self, ieee9_network, ieee9_model, estimator, noise_std, placement):
+        if placement == "greedy":
+            plan = greedy_place_sensors(ieee9_model, 7)
+        else:
+            plan = random_place_sensors(ieee9_model, 7, seed=4)
+        spec = ScenarioSpec(
+            ieee9_network, ieee9_model, plan, 2, noise_std=noise_std, seed=19,
+        )
+        for t in range(10):
+            assert_trials_identical(run_trial(spec, estimator, t),
+                                    _reference_run_trial(spec, estimator, t))
+
+    @pytest.mark.parametrize("estimator", ["cs", "min_energy"])
+    def test_known_current_sources(self, ieee9_network, estimator):
+        # current sources are offset from the readings before the solve
+        net = DcNetwork(
+            ieee9_network.buses, ieee9_network.branches,
+            ieee9_network.devices + (
+                InjectionDevice(2, "current_source", 0.6),
+                InjectionDevice(8, "current_source", -0.4),
+            ),
+        )
+        model = build_impedance_model(net)
+        plan = greedy_place_sensors(model, 7)
+        for noise_std in (0.0, 0.01):
+            spec = ScenarioSpec(net, model, plan, 2, noise_std=noise_std, seed=23)
+            # at noise 0.01, trial 2 of this seed falls back to FISTA
+            for t in range(4):
+                assert_trials_identical(run_trial(spec, estimator, t),
+                                        _reference_run_trial(spec, estimator, t))
+
+    @pytest.mark.parametrize("estimator", ["cs", "min_energy"])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.01])
+    def test_ieee118(self, ieee118_network, ieee118_model, estimator, noise_std):
+        plan = greedy_place_sensors(ieee118_model, 60)
+        spec = ScenarioSpec(
+            ieee118_network, ieee118_model, plan, 2, noise_std=noise_std, seed=1,
+        )
+        # at noise 0.01 trials 0-2 of this seed take the homotopy route; about
+        # half of the others fall back to FISTA, over a second per solve here
+        for t in range(3):
+            assert_trials_identical(run_trial(spec, estimator, t),
+                                    _reference_run_trial(spec, estimator, t))
+
+    def test_epsilon_override(self, ieee9_spec):
+        spec = ieee9_spec(sparsity=2, noise_std=0.01)
+        cfg = SolverConfig(epsilon=0.05)
+        for t in range(10):
+            assert_trials_identical(run_trial(spec, "cs", t, cfg),
+                                    _reference_run_trial(spec, "cs", t, cfg))
+
+
+class TestTrialRouteAndConvergence:
+    def test_cs_route_from_estimate(self, ieee9_spec):
+        result = run_trial(ieee9_spec(sparsity=1), "cs", 0)
+        assert result.route == "lp"
+        assert result.converged is True
+
+    def test_min_energy_has_no_route(self, ieee9_spec):
+        result = run_trial(ieee9_spec(sparsity=1), "min_energy", 0)
+        assert result.route == ""
+        assert result.converged is True
+
+    def test_forced_fallback_not_converged(self, ieee9_spec, monkeypatch):
+        # the LP reports failure and the fallback gets one inner iteration
+        monkeypatch.setattr(recon, "_solve_bp_lp", lambda *args: None)
+        result = run_trial(ieee9_spec(sparsity=1), "cs", 0, SolverConfig(max_iterations=1))
+        assert result.route == "fallback"
+        assert result.converged is False
 
 
 class TestRunBenchmark:

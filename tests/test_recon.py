@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -26,9 +30,11 @@ from gridsense import (
     jacobian_power_rows,
     min_energy,
     run_trial,
+    sample_sparse_state,
     solve_bpdn,
     solve_l0_oracle,
 )
+import gridsense
 from gridsense import recon
 from gridsense.recon import SparseEstimate
 
@@ -321,8 +327,8 @@ class TestBpLpOracle:
         calls = []
         inner = recon._solve_bp_lp
 
-        def spy(an, y, ftol):
-            out = inner(an, y, ftol)
+        def spy(an, y, ftol, *rest):
+            out = inner(an, y, ftol, *rest)
             calls.append(((an, y, ftol), out))
             return out
 
@@ -372,6 +378,108 @@ class TestBpLpOracle:
         assert len(lp_calls) == 24
         assert all(out is not None for _, out in lp_calls)
         self.assert_matches_linprog(lp_calls)
+
+    def test_infeasible_then_feasible_on_one_solver(self, lp_calls):
+        # passModel resets the thread's solver: an infeasible model leaves
+        # nothing behind for the next one
+        solver = recon._highs_solver()[1]
+        cfg = SolverConfig(epsilon=0.0)
+        solve_bpdn(np.array([[1.0], [0.0]]), [0.0, 1.0], cfg)
+        solve_bpdn(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), [2.0, 2.0], cfg)
+        assert recon._highs_solver()[1] is solver
+        assert [out is None for _, out in lp_calls] == [True, False]
+        self.assert_matches_linprog(lp_calls)
+
+    def test_interleaved_random_models(self, lp_calls):
+        # one problem set up per matrix, one in three right-hand sides infeasible
+        rng = np.random.default_rng(5)
+        cfg = SolverConfig(epsilon=0.0, max_iterations=50)
+        for k in range(12):
+            a = rng.standard_normal((4, 8))
+            a[rng.random(a.shape) < 0.2] = 0.0
+            a[3] = 0.0
+            problem = recon.BpdnProblem(a)
+            for j in range(3):
+                y = a @ (rng.standard_normal(8) * (rng.random(8) < 0.3))
+                if (k + j) % 3 == 0:
+                    y[3] = 1.0  # the all-zero row cannot meet it
+                problem.solve(y, cfg)
+        assert len(lp_calls) == 36
+        assert sum(out is None for _, out in lp_calls) == 12
+        self.assert_matches_linprog(lp_calls)
+
+    def test_each_thread_has_its_own_solver(self):
+        # more threads than cores, switching often: every thread's LP answers
+        # equal the serial ones, so no solve saw another thread's model
+        rng = np.random.default_rng(8)
+        cfg = SolverConfig(epsilon=0.0)
+        work = []
+        for _ in range(4):
+            a = rng.standard_normal((5, 10))
+            ys = [a @ (rng.standard_normal(10) * (rng.random(10) < 0.3)) for _ in range(25)]
+            work.append((a, ys))
+        serial = [[solve_bpdn(a, y, cfg).injections for y in ys] for a, ys in work]
+        results, solvers = {}, {}
+
+        def run(i):
+            problem = recon.BpdnProblem(work[i][0])
+            results[i] = [problem.solve(y, cfg).injections for y in work[i][1]]
+            solvers[i] = recon._highs_solver()[1]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, want in enumerate(serial):
+            assert all(np.array_equal(g, w) for g, w in zip(results[i], want, strict=True))
+        assert len({id(solver) for solver in solvers.values()}) == len(work)
+
+
+class TestHomotopyCertificate:
+    @pytest.fixture
+    def fallback_skipped(self, monkeypatch):
+        # the FISTA fallback takes over a second on this plan; the route is
+        # what matters here, so it returns "nothing feasible found" at once
+        monkeypatch.setattr(recon, "_bpdn_cd_bisect", lambda *args: (None, None, 0, [], False))
+
+    def test_tiny_epsilon_ieee118(self, fallback_skipped, ieee118_network, ieee118_model):
+        # at eps = 1e-9 ||y|| the crossing weight is ~1e-10, below the
+        # absolute 1e-9 slack the certificate once had; it then accepted this
+        # trial's point at 17x the LP's l1 norm
+        plan = greedy_place_sensors(ieee118_model, 60)
+        spec = ScenarioSpec(ieee118_network, ieee118_model, plan, 2, seed=1)
+        a = ieee118_model.impedance[np.array(sorted(plan.chosen)) - 1]
+        y = a @ sample_sparse_state(118, spec, 29)
+        est = solve_bpdn(a, y, SolverConfig(epsilon=1e-9 * np.linalg.norm(y)))
+        assert est.route in ("fallback", "homotopy")
+        if est.route == "homotopy":
+            an = a / np.linalg.norm(a, axis=0)
+            lp = linprog(np.ones(236), A_eq=np.hstack([an, -an]), b_eq=y,
+                         bounds=(0, None), method="highs")
+            assert est.objective_trace[-1] == pytest.approx(lp.fun, rel=1e-6)
+
+
+class TestLazyHighsImport:
+    def test_import_loads_no_scipy(self):
+        # scipy.optimize is imported by the first eps=0 LP solve, not by the package
+        src = os.path.dirname(os.path.dirname(gridsense.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, gridsense, gridsense.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestJacobianPowerRows:
