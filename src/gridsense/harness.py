@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import DcNetwork, ImpedanceModel, ValidationError
-from .recon import BpdnProblem, SolverConfig, min_energy
-# no longer called here; kept importable from this module for callers that
-# look it up by this name (bench/tracing.py)
-from .recon import estimate_state  # noqa: F401
+from .recon import MeasurementSystem, SolverConfig
+# not called here; kept importable from this module for callers that look
+# them up by these names (bench/tracing.py)
+from .recon import estimate_state, min_energy  # noqa: F401
 from .sensing import PlacementPlan, greedy_place_sensors, random_place_sensors
 
 SIGN_POLICIES = ("mixed", "sources", "loads")
@@ -210,10 +210,12 @@ class _TrialContext:
     """What is fixed for a scenario and estimator; `run(t)` does trial t's part.
 
     Holds the checks, the fixed injections, the eligible buses, the plan's
-    Z rows and the estimator's set-up. `cs` solves on the rows in ascending
-    bus order with the known injections offset, as `estimate_state` would
-    for the same snapshot, so the LP sees the same matrix and takes the
-    same pivots.
+    Z rows in plan order (to simulate the readings) and a
+    `recon.MeasurementSystem`, which offsets the fixed injections, solves
+    and scatters the estimate back. `cs` builds it on the rows in ascending
+    bus order, as `estimate_state` does for the same snapshot, so the LP
+    sees the same matrix and takes the same pivots; `min_energy` on the rows
+    in plan order.
     """
 
     def __init__(self, spec: ScenarioSpec, estimator: str, cfg: SolverConfig | None):
@@ -228,51 +230,33 @@ class _TrialContext:
                 f"benchmark scenarios support current sources and resistance loads only, "
                 f"found {sorted(set(unsupported))}"
             )
-        m = spec.model.size
         self.spec = spec
         self.fixed = {
             d.bus: d.value for d in spec.network.devices if d.kind == "current_source"
         }
         self.eligible = _eligible_for(spec)
-        chosen = np.array(spec.placement.chosen)
+        chosen = spec.placement.chosen
+        cs = estimator == "cs"
+        # built first: it rejects bus ids outside the model and repeated buses
+        self.system = MeasurementSystem(spec.model, sorted(chosen) if cs else chosen, self.fixed)
         # in plan order: the readings are simulated in this order
-        self.rows = spec.model.impedance[chosen - 1]
-        self.order = np.argsort(chosen) if estimator == "cs" else slice(None)
-        rows = self.rows[self.order]
-        self.unknown = np.array([b for b in range(1, m + 1) if b not in self.fixed]) - 1
-        known = sorted(self.fixed)
-        self.offset = (
-            rows[:, np.array(known) - 1] @ np.array([self.fixed[b] for b in known])
-            if known else 0.0
-        )
-        a = rows[:, self.unknown]
-        if estimator == "cs":
-            if cfg is None:
-                cfg = SolverConfig(epsilon=default_epsilon(spec.noise_std, len(chosen)))
-            self.cfg = cfg
-            self.problem = BpdnProblem(a)
-        else:
-            self.a = a
-            self.problem = None
+        self.rows = spec.model.impedance[np.array(chosen) - 1]
+        self.order = np.argsort(chosen) if cs else slice(None)
+        if cs and cfg is None:
+            cfg = SolverConfig(epsilon=default_epsilon(spec.noise_std, len(chosen)))
+        self.cfg = cfg if cs else None
 
     def run(self, trial_index: int) -> TrialResult:
         spec = self.spec
-        m = spec.model.size
-        i_true = _draw_sparse_state(m, spec, self.eligible, trial_index)
+        i_true = _draw_sparse_state(spec.model.size, spec, self.eligible, trial_index)
         for b, val in self.fixed.items():
             i_true[b - 1] = val
-        y = add_noise(self.rows @ i_true, spec.noise_std, spec.seed, trial_index)
-        y = y[self.order] - self.offset
-
-        estimate = np.zeros(m)
-        for b, val in self.fixed.items():
-            estimate[b - 1] = val
-        if self.problem is not None:
-            est = self.problem.solve(y, self.cfg)
-            estimate[self.unknown] = est.injections
+        y = add_noise(self.rows @ i_true, spec.noise_std, spec.seed, trial_index)[self.order]
+        if self.cfg is not None:
+            estimate, est = self.system.bpdn(y, self.cfg)
             route, converged = est.route, est.converged
         else:
-            estimate[self.unknown] = min_energy(self.a, y)
+            estimate = self.system.min_energy(y)
             route, converged = "", True
 
         err = estimate - i_true
@@ -374,11 +358,16 @@ def run_benchmark(
 
 def _normalize_cell(cell):
     if isinstance(cell, dict):
-        return (
-            int(cell["sparsity"]), int(cell["meters"]), cell["placement"],
-            cell["estimator"], float(cell.get("noise_std", 0.0)),
+        cell = (
+            cell["sparsity"], cell["meters"], cell["placement"],
+            cell["estimator"], cell.get("noise_std", 0.0),
         )
     sparsity, meters, placement, estimator, noise_std = cell
-    if not isinstance(placement, PlacementPlan):
+    if isinstance(placement, PlacementPlan):
+        if int(meters) != len(placement.chosen):
+            raise ValidationError(
+                f"cell has {meters} meters but its placement plan has {len(placement.chosen)}"
+            )
+    else:
         placement = str(placement)
     return int(sparsity), int(meters), placement, str(estimator), float(noise_std)

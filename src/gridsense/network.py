@@ -69,11 +69,6 @@ class DcNetwork:
     def size(self) -> int:
         return len(self.buses)
 
-    def bus_index(self, bus_id: int) -> int:
-        if not 1 <= bus_id <= len(self.buses):
-            raise ValidationError(f"unknown bus id {bus_id}")
-        return bus_id - 1
-
     def devices_of_kind(self, kind: str) -> list[InjectionDevice]:
         return [d for d in self.devices if d.kind == kind]
 

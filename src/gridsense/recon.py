@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import CaseParseError, ImpedanceModel, ValidationError
-from .sensing import PlacementPlan
+from .sensing import PlacementPlan, assemble_measurement_matrix
 
 SNAPSHOT_HEADER = "gridsense-snapshot v1"
 
@@ -138,16 +138,56 @@ def apply_current_offsets(y, model: ImpedanceModel, sensor_buses, known: dict[in
     sensor_buses = tuple(sensor_buses)
     if y.shape != (len(sensor_buses),):
         raise ValidationError("y length must match the sensor bus list")
-    if not known:
-        return y.copy()
-    m = model.size
-    for b in known:
-        if not 1 <= b <= m:
-            raise ValidationError(f"known injection references unknown bus {b}")
-    cols = np.array(sorted(known)) - 1
-    currents = np.array([known[b] for b in sorted(known)])
-    z_block = model.impedance[np.array(sensor_buses) - 1][:, cols]
-    return y - z_block @ currents
+    return y - MeasurementSystem(model, sensor_buses, known).offset
+
+
+class MeasurementSystem:
+    """Z's rows for one set of voltage readings, split at the known injections.
+
+    Built once from the model, the row buses in reading order and the known
+    injections (bus -> current), with `assemble_measurement_matrix`, which
+    checks the bus ids. `bpdn` and `min_energy` subtract the known
+    injections' part of one reading vector, solve for the unknown buses and
+    return the injections at every bus, the known ones in place.
+    """
+
+    def __init__(self, model: ImpedanceModel, row_buses, known: dict[int, float]):
+        m = model.size
+        known_buses = sorted(known)
+        currents = np.array([known[b] for b in known_buses], dtype=float)
+        unknown = [b for b in range(1, m + 1) if b not in known]
+        self.a = assemble_measurement_matrix(model, row_buses, unknown).rows
+        self.problem = BpdnProblem(self.a) if unknown else None
+        self.unknown = np.array(unknown, dtype=int) - 1
+        self.base = np.zeros(m)
+        self.offset = 0.0
+        if known:
+            self.offset = assemble_measurement_matrix(model, row_buses, known_buses).rows @ currents
+            self.base[np.array(known_buses) - 1] = currents
+
+    def _scatter(self, x) -> np.ndarray:
+        full = self.base.copy()
+        full[self.unknown] = x
+        return full
+
+    def bpdn(self, y, cfg: SolverConfig) -> tuple[np.ndarray, SparseEstimate]:
+        """(injections at every bus, the BPDN estimate over the unknown buses).
+
+        With every injection known nothing is solved: the estimate is empty,
+        converged, and has no route.
+        """
+        y_off = y - self.offset
+        if self.problem is None:
+            return self.base.copy(), SparseEstimate(
+                injections=np.zeros(0), support=(), residual_norm=float(np.linalg.norm(y_off)),
+                iterations_used=0, converged=True,
+            )
+        est = self.problem.solve(y_off, cfg)
+        return self._scatter(est.injections), est
+
+    def min_energy(self, y) -> np.ndarray:
+        """Minimum-norm injections at every bus."""
+        return self._scatter(min_energy(self.a, y - self.offset))
 
 
 def min_energy(a, y) -> np.ndarray:
@@ -449,7 +489,21 @@ class BpdnProblem:
         y = np.asarray(y, dtype=float)
         if not np.isfinite(y).all():
             raise ValidationError("non-finite entries in solver input")
-        an, col_norms = self.an, self.col_norms
+        beta, residual, iterations, converged, trace, route = self._solve_normalized(y, cfg)
+        x = beta / self.col_norms
+        return SparseEstimate(
+            injections=x,
+            support=_support_of(x),
+            residual_norm=residual,
+            iterations_used=iterations,
+            converged=converged,
+            objective_trace=tuple(trace),
+            route=route,
+        )
+
+    def _solve_normalized(self, y, cfg: SolverConfig):
+        """(beta, residual, iterations, converged, trace, route) on the normalized columns."""
+        an = self.an
         n, m = an.shape
         eps = cfg.epsilon
         y_norm = float(np.linalg.norm(y))
@@ -457,41 +511,20 @@ class BpdnProblem:
 
         if y_norm <= eps:
             # zero is feasible and l1-minimal
-            return SparseEstimate(
-                injections=np.zeros(m), support=(), residual_norm=y_norm,
-                iterations_used=0, converged=True, objective_trace=(0.0,), route="zero",
-            )
+            return np.zeros(m), y_norm, 0, True, (0.0,), "zero"
 
         if eps == 0.0:
             if self._lp is None:
                 self._lp = _bp_lp_template(an)
             lp = _solve_bp_lp(an, y, ftol, self._lp)
             if lp is not None:
-                x_lp, res_lp, nit = lp
-                x = x_lp / col_norms
-                return SparseEstimate(
-                    injections=x,
-                    support=_support_of(x),
-                    residual_norm=res_lp,
-                    iterations_used=nit,
-                    converged=True,
-                    objective_trace=(float(np.abs(x_lp).sum()),),
-                    route="lp",
-                )
+                beta, residual, nit = lp
+                return beta, residual, nit, True, (float(np.abs(beta).sum()),), "lp"
         else:
             hom = _bpdn_homotopy(an, y, eps, max_steps=8 * (n + m) + 32)
             if hom is not None:
-                beta, res_h, steps = hom
-                x = beta / col_norms
-                return SparseEstimate(
-                    injections=x,
-                    support=_support_of(x),
-                    residual_norm=res_h,
-                    iterations_used=steps,
-                    converged=True,
-                    objective_trace=(float(np.abs(beta).sum()),),
-                    route="homotopy",
-                )
+                beta, residual, steps = hom
+                return beta, residual, steps, True, (float(np.abs(beta).sum()),), "homotopy"
 
         # fallback: bisection on the lasso penalty, each subproblem solved by
         # accelerated proximal gradient (FISTA). Convergent regardless of
@@ -508,17 +541,7 @@ class BpdnProblem:
             best_res = float(np.linalg.norm(y - an @ best_x))
             trace = (float(np.abs(best_x).sum()),)
             converged = False
-
-        x = best_x / col_norms
-        return SparseEstimate(
-            injections=x,
-            support=_support_of(x),
-            residual_norm=best_res,
-            iterations_used=sweeps,
-            converged=converged,
-            objective_trace=tuple(trace),
-            route="fallback",
-        )
+        return best_x, best_res, sweeps, converged, trace, "fallback"
 
 
 def _bpdn_cd_bisect(an, y, eps, inner_cap, tol):
@@ -599,11 +622,10 @@ def jacobian_power_rows(model: ImpedanceModel, currents, power_buses) -> np.ndar
     return rows
 
 
-def _voltage_rows(model: ImpedanceModel, meas: MeasurementSet):
-    """Ordered voltage-row buses: metered buses first, then regulated sources."""
-    metered = sorted(set(meas.voltage_readings) - set(meas.voltage_source_buses))
+def _voltage_rows(meas: MeasurementSet, metered):
+    """Voltage-row buses and readings: metered buses in ascending order, then regulated sources."""
     sources = sorted(meas.voltage_source_buses)
-    buses = metered + sources
+    buses = sorted(b for b in metered if b not in meas.voltage_source_buses) + sources
     missing = [b for b in buses if b not in meas.voltage_readings]
     if missing:
         raise ValidationError(f"no voltage value for regulated source buses {missing}")
@@ -631,7 +653,7 @@ def constant_power_newton(
     for b in power_buses:
         if not 1 <= b <= m:
             raise ValidationError(f"power bus {b} not in model")
-    row_buses, v_meas = _voltage_rows(model, meas)
+    row_buses, v_meas = _voltage_rows(meas, meas.voltage_readings)
     z_sel = z[np.array(row_buses) - 1] if row_buses else np.zeros((0, m))
 
     current = np.asarray(initial.injections, dtype=float).copy()
@@ -712,37 +734,22 @@ def estimate_state(
 ) -> SparseEstimate:
     """Full estimation pipeline for one measurement snapshot.
 
-    Voltage rows come from the plan's meters plus any regulated sources;
-    known current injections are removed by offset; the remaining sparse
-    injections are recovered with BPDN; constant-power devices, when present,
-    are refined with the Newton iteration seeded by the BPDN estimate.
+    Voltage rows are the plan's meters in ascending bus order, then any
+    regulated sources; a `MeasurementSystem` on those rows offsets the known
+    current injections and recovers the remaining sparse injections with
+    BPDN; constant-power devices, when present, are refined with the Newton
+    iteration seeded by the BPDN estimate.
     """
-    m = model.size
     expected = set(plan.chosen) | set(meas.voltage_source_buses)
     if set(meas.voltage_readings) != expected:
         raise ValidationError(
             "voltage readings must cover exactly the plan's meters plus regulated "
             f"source buses; expected {sorted(expected)}, got {sorted(meas.voltage_readings)}"
         )
-    row_buses, y = _voltage_rows(model, meas)
-    y_off = apply_current_offsets(y, model, row_buses, meas.known_injections)
-
-    unknown = [b for b in range(1, m + 1) if b not in meas.known_injections]
-    full = np.zeros(m)
-    for b, val in meas.known_injections.items():
-        full[b - 1] = val
-
-    if unknown:
-        a = model.impedance[np.array(row_buses) - 1][:, np.array(unknown) - 1]
-        est = solve_bpdn(a, y_off, cfg)
-        full[np.array(unknown) - 1] = est.injections
-        iterations = est.iterations_used
-        converged = est.converged
-        route = est.route
-    else:
-        iterations = 0
-        converged = True
-        route = ""
+    row_buses, y = _voltage_rows(meas, plan.chosen)
+    system = MeasurementSystem(model, row_buses, meas.known_injections)
+    full, est = system.bpdn(y, cfg)
+    iterations, converged = est.iterations_used, est.converged
 
     if meas.power_constraints:
         seed = SparseEstimate(
@@ -762,5 +769,5 @@ def estimate_state(
         residual_norm=residual,
         iterations_used=iterations,
         converged=converged,
-        route=route,
+        route=est.route,
     )

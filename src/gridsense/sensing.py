@@ -97,12 +97,14 @@ def assemble_measurement_matrix(
         candidate_buses = tuple(range(1, m + 1))
     else:
         candidate_buses = tuple(candidate_buses)
+    if not sensor_buses:
+        raise ValidationError("no sensor buses")
     if len(set(sensor_buses)) != len(sensor_buses):
         raise ValidationError(f"duplicate sensor buses in {sensor_buses}")
     for b in sensor_buses + candidate_buses:
         if not 1 <= b <= m:
             raise ValidationError(f"unknown bus id {b}")
-    rows = model.impedance[np.array(sensor_buses) - 1][:, np.array(candidate_buses) - 1]
+    rows = model.impedance[np.array(sensor_buses) - 1][:, np.array(candidate_buses, dtype=int) - 1]
     return MeasurementMatrix(rows=rows, sensor_buses=sensor_buses, candidate_buses=candidate_buses)
 
 

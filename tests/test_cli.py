@@ -28,6 +28,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def write_plan(path, buses):
+    path.write_text(
+        f"gridsense-plan v1\nbuses {' '.join(str(b) for b in buses)}\nfinal_coherence 0.5\n"
+    )
+    return path
+
+
 class TestInspect:
     def test_summary_output(self, capsys):
         code, out, _ = run(capsys, "inspect", "--case", IEEE9)
@@ -158,8 +165,57 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "buses, message",
+        [((0, 3, 5), "unknown bus id 0"), ((3, 3, 5), "duplicate sensor buses in (3, 3, 5)")],
+    )
+    def test_bad_plan_buses(self, capsys, tmp_path, buses, message):
+        # the snapshot reads every bus the plan names, so only the plan is wrong
+        plan_path = write_plan(tmp_path / "plan.txt", buses)
+        snap_path = tmp_path / "snap.meas"
+        snap_path.write_text(
+            "gridsense-snapshot v1\n[voltages]\n"
+            + "".join(f"{b} 0.25\n" for b in sorted(set(buses)))
+        )
+        code, out, err = run(
+            capsys, "estimate", "--case", IEEE9,
+            "--plan", str(plan_path), "--snapshot", str(snap_path),
+        )
+        assert code == EXIT_DATA
+        assert message in err
+        assert out == ""
+
 
 class TestBench:
+    @pytest.mark.parametrize(
+        "buses, message",
+        [
+            ((0, 3, 5), "unknown bus id 0"),
+            ((3, 5, 10), "unknown bus id 10"),
+            ((3, 3, 5), "duplicate sensor buses in (3, 3, 5)"),
+        ],
+    )
+    @pytest.mark.parametrize("estimator", ["cs", "min-energy"])
+    def test_bad_file_plan_buses(self, capsys, tmp_path, buses, message, estimator):
+        plan_path = write_plan(tmp_path / "plan.txt", buses)
+        code, _, err = run(
+            capsys, "bench", "--case", IEEE9, "--meters", "3", "--sparsity", "1",
+            "--placement", f"file:{plan_path}", "--estimator", estimator, "--trials", "2",
+        )
+        assert code == EXIT_DATA
+        assert message in err
+
+    def test_file_plan_meter_count_mismatch(self, capsys, tmp_path):
+        plan_path = tmp_path / "plan.txt"
+        run(capsys, "place", "--case", IEEE9, "--meters", "7", "--out", str(plan_path))
+        code, out, err = run(
+            capsys, "bench", "--case", IEEE9, "--meters", "3,5", "--sparsity", "1",
+            "--placement", f"file:{plan_path}", "--trials", "2",
+        )
+        assert code == EXIT_DATA
+        assert "cell has 3 meters but its placement plan has 7" in err
+        assert out == ""
+
     def test_csv_and_plot_companion(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, _, _ = run(
@@ -234,6 +290,22 @@ class TestBench:
         payload = json.loads(target.read_text())
         assert payload["trials"] == 150
         assert [c["trials"] for c in payload["cells"]] == [150]
+
+
+@pytest.mark.parametrize("subcommand", ["coherence", "estimate", "bench"])
+def test_empty_plan_rejected(capsys, tmp_path, subcommand):
+    plan_path = write_plan(tmp_path / "plan.txt", ())
+    snap_path = tmp_path / "snap.meas"
+    snap_path.write_text("gridsense-snapshot v1\n")
+    argv = {
+        "coherence": ["--plan", str(plan_path)],
+        "estimate": ["--plan", str(plan_path), "--snapshot", str(snap_path)],
+        "bench": ["--meters", "0", "--sparsity", "1", "--placement", f"file:{plan_path}",
+                  "--trials", "1"],
+    }[subcommand]
+    code, _, err = run(capsys, subcommand, "--case", IEEE9, *argv)
+    assert code == EXIT_DATA
+    assert "no sensor buses" in err
 
 
 class TestUsageErrors:

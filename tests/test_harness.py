@@ -393,6 +393,16 @@ class TestRunBenchmark:
         )
         assert report.cells[0].placement == "file"
 
+    def test_file_plan_meter_count_mismatch(self, ieee9_network, ieee9_model):
+        plan = greedy_place_sensors(ieee9_model, 7)
+        cells = [
+            (1, 5, plan, "cs", 0.0),
+            {"sparsity": 1, "meters": 3, "placement": plan, "estimator": "min_energy"},
+        ]
+        for cell in cells:
+            with pytest.raises(ValidationError, match="its placement plan has 7"):
+                run_benchmark(ieee9_network, ieee9_model, [cell], trials=1, seed=0)
+
     def test_empty_grid_error(self, ieee9_network, ieee9_model):
         with pytest.raises(ValidationError):
             run_benchmark(ieee9_network, ieee9_model, [], trials=1, seed=0)

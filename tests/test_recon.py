@@ -586,6 +586,39 @@ class TestMeasurementSet:
             MeasurementSet(known_injections={2: 1.0}, power_constraints={2: 1.0})
 
 
+def _reference_estimate_state(model, meas, cfg):
+    """estimate_state without power constraints, its matrix code written out.
+
+    The test-only oracle for the snapshot pipeline: rows are the metered
+    buses in ascending order, then the regulated sources; the known
+    injections' Z block is subtracted from the readings; BPDN runs on the
+    unknown columns and its answer is scattered back into the full vector.
+    """
+    m = model.size
+    sources = sorted(meas.voltage_source_buses)
+    row_buses = sorted(set(meas.voltage_readings) - set(sources)) + sources
+    y = np.array([meas.voltage_readings[b] for b in row_buses])
+    known = sorted(meas.known_injections)
+    z_block = model.impedance[np.array(row_buses) - 1][:, np.array(known) - 1]
+    y_off = y - z_block @ np.array([meas.known_injections[b] for b in known])
+    unknown = np.array([b for b in range(1, m + 1) if b not in meas.known_injections])
+    a = model.impedance[np.array(row_buses) - 1][:, unknown - 1]
+    est = solve_bpdn(a, y_off, cfg)
+    full = np.zeros(m)
+    for b, val in meas.known_injections.items():
+        full[b - 1] = val
+    full[unknown - 1] = est.injections
+    z_sel = model.impedance[np.array(row_buses) - 1]
+    return SparseEstimate(
+        injections=full,
+        support=recon._support_of(full),
+        residual_norm=float(np.linalg.norm(y - z_sel @ full)),
+        iterations_used=est.iterations_used,
+        converged=est.converged,
+        route=est.route,
+    )
+
+
 class TestEstimateState:
     def test_degenerate_pipeline_equals_bpdn(self, ieee9_model):
         from gridsense import greedy_place_sensors
@@ -629,6 +662,54 @@ class TestEstimateState:
         meas = MeasurementSet(voltage_readings={1: 1.0})
         with pytest.raises(ValidationError):
             estimate_state(TWO_BUS_Z, meas, plan, SolverConfig())
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_regulated_sources_and_known_injections(self, ieee9_model, eps):
+        # unsorted plan, two regulated sources (one also metered), two known
+        # injections (one at a metered bus)
+        plan = plan_for([8, 3, 6, 4, 9, 1])
+        sources = frozenset({3, 7})
+        known = {2: 0.6, 6: -0.4}
+        cfg = SolverConfig(epsilon=eps)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            i_true = np.zeros(9)
+            support = rng.choice([1, 3, 4, 5, 7, 8], size=2, replace=False)
+            i_true[support - 1] = rng.uniform(0.5, 1.5, 2) * rng.choice([-1.0, 1.0], 2)
+            for b, val in known.items():
+                i_true[b - 1] = val
+            buses = sorted(set(plan.chosen) | sources)
+            y = ieee9_model.impedance[np.array(buses) - 1] @ i_true
+            meas = MeasurementSet(
+                voltage_readings=dict(zip(buses, y)),
+                known_injections=known,
+                voltage_source_buses=sources,
+            )
+            got = estimate_state(ieee9_model, meas, plan, cfg)
+            want = _reference_estimate_state(ieee9_model, meas, cfg)
+            assert got.injections.tobytes() == want.injections.tobytes()
+            assert got.residual_norm.hex() == want.residual_norm.hex()
+            assert (got.support, got.iterations_used, got.converged, got.route) == (
+                want.support, want.iterations_used, want.converged, want.route
+            )
+
+    def test_regulated_source_without_reading(self, ieee9_model):
+        plan = plan_for([1, 2, 4])
+        meas = MeasurementSet(
+            voltage_readings={1: 0.1, 2: 0.2, 4: 0.3}, voltage_source_buses=frozenset({5}),
+        )
+        with pytest.raises(ValidationError, match="voltage readings must cover exactly"):
+            estimate_state(ieee9_model, meas, plan, SolverConfig())
+        meas = MeasurementSet(
+            voltage_readings={1: 0.1}, power_constraints={2: 0.5},
+            voltage_source_buses=frozenset({5}),
+        )
+        initial = SparseEstimate(
+            injections=np.zeros(9), support=(), residual_norm=0.0,
+            iterations_used=0, converged=True,
+        )
+        with pytest.raises(ValidationError, match="no voltage value for regulated source buses"):
+            constant_power_newton(ieee9_model, meas, SolverConfig(), initial)
 
     def test_power_constraint_refinement(self):
         # scalar model: voltage row plus a constant-power device at the same bus

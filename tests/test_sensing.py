@@ -98,6 +98,14 @@ class TestAssembleMeasurementMatrix:
         with pytest.raises(ValidationError):
             assemble_measurement_matrix(TWO_BUS_Z, [3])
 
+    def test_no_sensor_error(self):
+        with pytest.raises(ValidationError, match="no sensor buses"):
+            assemble_measurement_matrix(TWO_BUS_Z, [])
+
+    def test_no_candidate_columns(self):
+        mat = assemble_measurement_matrix(TWO_BUS_Z, [2, 1], candidate_buses=[])
+        assert mat.rows.shape == (2, 0)
+
 
 class TestGramCoherence:
     def test_identity_matrix(self):
