@@ -241,20 +241,27 @@ def solve_l0_oracle(a, y, s_max: int, tol: float) -> SparseEstimate | None:
 def _highs_solver():
     """(HiGHS bindings, this thread's solver), made on the thread's first call.
 
-    The solver gets linprog(method="highs")'s options once. passModel clears
-    the previous model, basis and solution, so reuse changes no answer.
+    The solver gets its options once: dual simplex, presolve off, primal and
+    dual feasibility tolerances of 1e-9; that is linprog(method="highs")'s
+    options for presolve=False and those two tolerances. Presolve would take
+    most of a solve on these small dense LPs, and at the default 1e-7
+    tolerances its answers can miss ftol. passModel clears the previous
+    model, basis and solution, so reuse changes no answer.
     """
     try:
         return _HIGHS.core, _HIGHS.solver
     except AttributeError:
         pass
     # private module: linprog's HiGHS without its per-call wrapper; TestBpLpOracle
-    # guards it. Imported here because scipy.optimize is most of the import
-    # time of gridsense, and only the eps=0 LP needs it
+    # guards it against linprog given the same options. Imported here because
+    # scipy.optimize is most of the import time of gridsense, and only the
+    # eps=0 LP needs it
     from scipy.optimize._highspy import _core
 
     options = _core.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
+    options.primal_feasibility_tolerance = 1e-9
+    options.dual_feasibility_tolerance = 1e-9
     options.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
     options.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
     options.output_flag = False
@@ -298,8 +305,10 @@ def _solve_bp_lp(an, y, ftol, lp):
 
     `lp` is `_bp_lp_template(an)`; its row bounds are set to y here. HiGHS's
     dual simplex is called directly, on this thread's solver, with the model
-    and options that linprog(method="highs") would pass it, so x and the
-    iteration count are linprog's. Returns None when HiGHS reports an error
+    linprog(method="highs") would build and the options it would pass for
+    presolve=False and 1e-9 feasibility tolerances, so x and the iteration
+    count are linprog's under those options. Where the l1 minimum is tied,
+    x is one optimal vertex. Returns None when HiGHS reports an error
     or a non-optimal model, or leaves a non-finite x or a residual above
     tolerance, in which case the caller falls back to the iterative path.
     """
@@ -446,7 +455,9 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
 
     The noiseless limit (epsilon = 0) is an equality-constrained linear
     program, solved by HiGHS's dual simplex called directly through scipy's
-    bundled bindings (not through linprog). The general case is solved
+    bundled bindings (not through linprog), without presolve and at 1e-9
+    primal and dual feasibility tolerances; where the l1 minimum is tied it
+    returns one optimal vertex. The general case is solved
     exactly by walking the lasso regularization path to the point where the
     residual norm meets epsilon. If either route fails numerically (highly
     coherent columns can make the path's active-set systems singular) the

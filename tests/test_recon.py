@@ -29,6 +29,7 @@ from gridsense import (
     invert_to_impedance,
     jacobian_power_rows,
     min_energy,
+    random_place_sensors,
     run_trial,
     sample_sparse_state,
     solve_bpdn,
@@ -303,11 +304,20 @@ class TestBpdnFallback:
         assert est.converged is False
 
 
+# the solver options _highs_solver sets, in linprog's terms
+_BP_LP_OPTIONS = {
+    "presolve": False,
+    "primal_feasibility_tolerance": 1e-9,
+    "dual_feasibility_tolerance": 1e-9,
+}
+
+
 def _reference_bp_lp(an, y, ftol):
     """The eps=0 LP through scipy's linprog(method="highs"): oracle for _solve_bp_lp."""
     m = an.shape[1]
     res = linprog(
-        np.ones(2 * m), A_eq=np.hstack([an, -an]), b_eq=y, bounds=(0, None), method="highs"
+        np.ones(2 * m), A_eq=np.hstack([an, -an]), b_eq=y, bounds=(0, None), method="highs",
+        options=_BP_LP_OPTIONS,
     )
     if not res.success:
         return None
@@ -319,25 +329,31 @@ def _reference_bp_lp(an, y, ftol):
     return x, residual, int(res.nit)
 
 
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Each _solve_bp_lp call as ((an, y, ftol), answer, row duals), in call order.
+
+    The duals are read from the same thread's solver right after the solve.
+    """
+    calls = []
+    inner = recon._solve_bp_lp
+
+    def spy(an, y, ftol, *rest):
+        out = inner(an, y, ftol, *rest)
+        nu = np.array(recon._highs_solver()[1].getSolution().row_dual)
+        calls.append(((an, y, ftol), out, nu))
+        return out
+
+    monkeypatch.setattr(recon, "_solve_bp_lp", spy)
+    return calls
+
+
 class TestBpLpOracle:
     """The direct HiGHS call returns linprog's x and iteration count, bit for bit."""
 
-    @pytest.fixture
-    def lp_calls(self, monkeypatch):
-        calls = []
-        inner = recon._solve_bp_lp
-
-        def spy(an, y, ftol, *rest):
-            out = inner(an, y, ftol, *rest)
-            calls.append(((an, y, ftol), out))
-            return out
-
-        monkeypatch.setattr(recon, "_solve_bp_lp", spy)
-        return calls
-
     @staticmethod
     def assert_matches_linprog(calls):
-        for args, got in calls:
+        for args, got, _ in calls:
             want = _reference_bp_lp(*args)
             assert (got is None) == (want is None)
             if want is not None:
@@ -367,7 +383,7 @@ class TestBpLpOracle:
         for t in range(30):
             run_trial(spec, "cs", t)
         assert len(lp_calls) == 30
-        assert all(out is not None for _, out in lp_calls)
+        assert all(out is not None for _, out, _ in lp_calls)
         self.assert_matches_linprog(lp_calls)
 
     def test_ieee118_greedy_plan(self, lp_calls, ieee118_network, ieee118_model):
@@ -376,7 +392,7 @@ class TestBpLpOracle:
         for t in range(24):
             run_trial(spec, "cs", t)
         assert len(lp_calls) == 24
-        assert all(out is not None for _, out in lp_calls)
+        assert all(out is not None for _, out, _ in lp_calls)
         self.assert_matches_linprog(lp_calls)
 
     def test_infeasible_then_feasible_on_one_solver(self, lp_calls):
@@ -387,7 +403,7 @@ class TestBpLpOracle:
         solve_bpdn(np.array([[1.0], [0.0]]), [0.0, 1.0], cfg)
         solve_bpdn(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), [2.0, 2.0], cfg)
         assert recon._highs_solver()[1] is solver
-        assert [out is None for _, out in lp_calls] == [True, False]
+        assert [out is None for _, out, _ in lp_calls] == [True, False]
         self.assert_matches_linprog(lp_calls)
 
     def test_interleaved_random_models(self, lp_calls):
@@ -405,7 +421,7 @@ class TestBpLpOracle:
                     y[3] = 1.0  # the all-zero row cannot meet it
                 problem.solve(y, cfg)
         assert len(lp_calls) == 36
-        assert sum(out is None for _, out in lp_calls) == 12
+        assert sum(out is None for _, out, _ in lp_calls) == 12
         self.assert_matches_linprog(lp_calls)
 
     def test_each_thread_has_its_own_solver(self):
@@ -440,6 +456,67 @@ class TestBpLpOracle:
         for i, want in enumerate(serial):
             assert all(np.array_equal(g, w) for g, w in zip(results[i], want, strict=True))
         assert len({id(solver) for solver in solvers.values()}) == len(work)
+
+
+class TestBpLpDualCertificate:
+    """Every LP answer is optimal: its row duals nu are dual feasible,
+    ||an^T nu||_inf <= 1, and close the gap, y.nu = ||x||_1. Independent of linprog."""
+
+    @staticmethod
+    def assert_certified(calls):
+        assert calls
+        for (an, y, _), out, nu in calls:
+            assert out is not None
+            l1 = float(np.abs(out[0]).sum())
+            assert np.abs(an.T @ nu).max() <= 1 + 1e-9
+            assert abs(l1 - float(y @ nu)) <= 1e-9 * l1
+
+    @staticmethod
+    def run_plans(network, model, plan, trials):
+        for sparsity in (1, 2, 3):
+            spec = ScenarioSpec(network, model, plan, sparsity, seed=len(plan.chosen) + sparsity)
+            for t in range(trials):
+                run_trial(spec, "cs", t)
+
+    @pytest.mark.parametrize("meters", range(3, 10))
+    def test_ieee9_plans(self, lp_calls, ieee9_network, ieee9_model, meters):
+        plans = [greedy_place_sensors(ieee9_model, meters)]
+        plans += [random_place_sensors(ieee9_model, meters, seed=s) for s in (1, 2, 3)]
+        for plan in plans:
+            self.run_plans(ieee9_network, ieee9_model, plan, 8)
+        assert len(lp_calls) == 96
+        self.assert_certified(lp_calls)
+
+    @pytest.mark.parametrize("meters", [20, 60, 90])
+    def test_ieee118_plans(self, lp_calls, ieee118_network, ieee118_model, meters):
+        plans = [greedy_place_sensors(ieee118_model, meters)]
+        plans += [random_place_sensors(ieee118_model, meters, seed=s) for s in (1, 2)]
+        for plan in plans:
+            self.run_plans(ieee118_network, ieee118_model, plan, 12)
+        assert len(lp_calls) == 108
+        self.assert_certified(lp_calls)
+
+
+class TestBpLpNoFallback:
+    """Two 118-bus random plans whose LP answers once missed ftol and went to
+    the FISTA fallback (about a second each, not converged)."""
+
+    @pytest.mark.parametrize(
+        "buses, sparsity, seed, trial",
+        [
+            # random_place_sensors(model, 20, seed=2000)
+            ([3, 8, 19, 20, 21, 24, 30, 47, 49, 50, 52, 54, 58, 60, 63, 67, 70, 102, 108, 116],
+             3, 143, 2),
+            # random_place_sensors(model, 20, seed=2002)
+            ([13, 15, 17, 20, 27, 34, 37, 42, 58, 66, 69, 70, 75, 84, 89, 96, 98, 104, 110, 116],
+             5, 145, 3),
+        ],
+    )
+    def test_lp_route(self, ieee118_network, ieee118_model, buses, sparsity, seed, trial):
+        spec = ScenarioSpec(ieee118_network, ieee118_model, plan_for(buses), sparsity, seed=seed)
+        result = run_trial(spec, "cs", trial)
+        assert result.route == "lp"
+        assert result.converged is True
 
 
 class TestHomotopyCertificate:
