@@ -32,7 +32,6 @@ class ScenarioSpec:
     injection_high: float = 1.5
     sign_policy: str = "mixed"
     noise_std: float = 0.0
-    trials: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class ScenarioSpec:
             raise ValidationError(f"sign_policy must be one of {SIGN_POLICIES}")
         if self.noise_std < 0:
             raise ValidationError("noise_std must be >= 0")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -335,7 +332,7 @@ def run_benchmark(
             spec = ScenarioSpec(
                 network=network, model=model, placement=plans[p], sparsity=sparsity,
                 injection_low=low, injection_high=high, sign_policy=sign_policy,
-                noise_std=noise_std, trials=trials, seed=cseed,
+                noise_std=noise_std, seed=cseed,
             )
             context = _TrialContext(spec, estimator, cfg)
             trial_results += [context.run(t) for t in block]

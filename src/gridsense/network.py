@@ -150,11 +150,35 @@ def _check_connected(net: DcNetwork) -> None:
 # --- case file parsing ---------------------------------------------------
 
 
-def _iter_case_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def read_sections(text: str, header: str, sections, parse_line) -> None:
+    """Read a gridsense text file (case, snapshot or plan) line by line.
+
+    Drops `#` comments and blank lines, checks the header line and tracks
+    `[section]` lines, which must name one of `sections` (a format without
+    sections passes none). Each data line goes to `parse_line(section,
+    tokens)`; a ValueError from it becomes a CaseParseError with the line
+    number.
+    """
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line
+            lines.append((lineno, line))
+    if not lines or lines[0][1] != header:
+        raise CaseParseError(f"missing header line {header!r}")
+    section = None
+    for lineno, line in lines[1:]:
+        try:
+            if line[0] == "[" and line[-1] == "]" and sections:
+                section = line[1:-1]
+                if section not in sections:
+                    raise ValueError(f"unknown section [{section}]")
+            elif section is None and sections:
+                raise ValueError("data before any section header")
+            else:
+                parse_line(section, line.split())
+        except ValueError as exc:
+            raise CaseParseError(f"line {lineno}: {exc}") from None
 
 
 def load_network(source) -> DcNetwork:
@@ -162,41 +186,27 @@ def load_network(source) -> DcNetwork:
 
     A str is case text when it contains a newline and a file path otherwise.
     """
-    text = _read_text(source)
-    lines = list(_iter_case_lines(text))
-    if not lines or lines[0][1] != CASE_HEADER:
-        raise CaseParseError(f"missing header line {CASE_HEADER!r}")
-
-    section = None
     buses: list[Bus] = []
     branches: list[Branch] = []
     devices: list[InjectionDevice] = []
-    for lineno, line in lines[1:]:
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1]
-            if section not in ("buses", "branches", "devices"):
-                raise CaseParseError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if section is None:
-            raise CaseParseError(f"line {lineno}: data before any section header")
-        tok = line.split()
-        try:
-            if section == "buses":
-                if len(tok) not in (1, 2, 3):
-                    raise ValueError("expected: id [name] [shunt_resistance]")
-                shunt = float(tok[2]) if len(tok) == 3 else None
-                name = tok[1] if len(tok) >= 2 else ""
-                buses.append(Bus(id=int(tok[0]), name=name, shunt_resistance=shunt))
-            elif section == "branches":
-                if len(tok) != 3:
-                    raise ValueError("expected: from to resistance")
-                branches.append(Branch(int(tok[0]), int(tok[1]), float(tok[2])))
-            else:
-                if len(tok) != 3:
-                    raise ValueError("expected: bus kind value")
-                devices.append(InjectionDevice(int(tok[0]), tok[1], float(tok[2])))
-        except ValueError as exc:
-            raise CaseParseError(f"line {lineno}: {exc}") from None
+
+    def parse_line(section, tok):
+        if section == "buses":
+            if len(tok) not in (1, 2, 3):
+                raise ValueError("expected: id [name] [shunt_resistance]")
+            shunt = float(tok[2]) if len(tok) == 3 else None
+            name = tok[1] if len(tok) >= 2 else ""
+            buses.append(Bus(id=int(tok[0]), name=name, shunt_resistance=shunt))
+        elif section == "branches":
+            if len(tok) != 3:
+                raise ValueError("expected: from to resistance")
+            branches.append(Branch(int(tok[0]), int(tok[1]), float(tok[2])))
+        else:
+            if len(tok) != 3:
+                raise ValueError("expected: bus kind value")
+            devices.append(InjectionDevice(int(tok[0]), tok[1], float(tok[2])))
+
+    read_sections(_read_text(source), CASE_HEADER, ("buses", "branches", "devices"), parse_line)
     return DcNetwork(tuple(buses), tuple(branches), tuple(devices))
 
 

@@ -5,13 +5,15 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .network import CaseParseError, ImpedanceModel, ValidationError
+from .network import ImpedanceModel, ValidationError, read_sections
 from .sensing import PlacementPlan, assemble_measurement_matrix
 
 SNAPSHOT_HEADER = "gridsense-snapshot v1"
+SNAPSHOT_SECTIONS = ("voltages", "known_injections", "power_constraints", "voltage_sources")
 
 # entries below this fraction of the largest estimate are reported as zero
 SUPPORT_THRESHOLD_REL = 1e-6
@@ -30,19 +32,18 @@ class NewtonDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The BPDN radius epsilon; the limits and tolerances are class constants."""
+
     epsilon: float = 0.0
-    max_iterations: int = 4000
-    convergence_tol: float = 1e-7
-    newton_max_iter: int = 50
-    newton_tol: float = 1e-10
+    max_iterations: ClassVar[int] = 4000
+    convergence_tol: ClassVar[float] = 1e-7
+    newton_max_iter: ClassVar[int] = 50
+    newton_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
-        if self.max_iterations < 1 or self.newton_max_iter < 1:
-            raise ValidationError("iteration limits must be positive")
-        if not (self.convergence_tol > 0 and self.newton_tol > 0):
-            raise ValidationError("tolerances must be > 0")
+        # written so that NaN fails too
+        if not self.epsilon >= 0:
+            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -77,38 +78,26 @@ class MeasurementSet:
 
     @classmethod
     def from_text(cls, text: str) -> "MeasurementSet":
-        lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not lines or lines[0] != SNAPSHOT_HEADER:
-            raise CaseParseError(f"missing header line {SNAPSHOT_HEADER!r}")
-        sections = {"voltages": {}, "known_injections": {}, "power_constraints": {}}
-        vsources: set[int] = set()
-        current = None
-        for ln in lines[1:]:
-            if ln.startswith("[") and ln.endswith("]"):
-                current = ln[1:-1]
-                if current not in (*sections, "voltage_sources"):
-                    raise CaseParseError(f"unknown snapshot section [{current}]")
-                continue
-            if current is None:
-                raise CaseParseError("data before any snapshot section")
-            tok = ln.split()
-            try:
-                if current == "voltage_sources":
-                    if len(tok) != 1:
-                        raise ValueError("expected a single bus id")
-                    vsources.add(int(tok[0]))
-                else:
-                    if len(tok) != 2:
-                        raise ValueError("expected: bus value")
-                    sections[current][int(tok[0])] = float(tok[1])
-            except ValueError as exc:
-                raise CaseParseError(f"malformed snapshot line {ln!r}: {exc}") from None
+        sections = {name: {} for name in SNAPSHOT_SECTIONS}
+
+        def parse_line(section, tok):
+            values = sections[section]
+            if section == "voltage_sources":
+                if len(tok) != 1:
+                    raise ValueError("expected a single bus id")
+            elif len(tok) != 2:
+                raise ValueError("expected: bus value")
+            bus = int(tok[0])
+            if bus in values:
+                raise ValueError(f"bus {bus} appears twice in [{section}]")
+            values[bus] = float(tok[1]) if len(tok) == 2 else None
+
+        read_sections(text, SNAPSHOT_HEADER, SNAPSHOT_SECTIONS, parse_line)
         return cls(
             voltage_readings=sections["voltages"],
             known_injections=sections["known_injections"],
             power_constraints=sections["power_constraints"],
-            voltage_source_buses=frozenset(vsources),
+            voltage_source_buses=frozenset(sections["voltage_sources"]),
         )
 
 
@@ -255,7 +244,7 @@ def _highs_solver():
     # private module: linprog's HiGHS without its per-call wrapper; TestBpLpOracle
     # guards it against linprog given the same options. Imported here because
     # scipy.optimize is most of the import time of gridsense, and only the
-    # eps=0 LP needs it
+    # basis-pursuit LP needs it
     from scipy.optimize._highspy import _core
 
     options = _core.HighsOptions()
@@ -310,7 +299,7 @@ def _solve_bp_lp(an, y, ftol, lp):
     count are linprog's under those options. Where the l1 minimum is tied,
     x is one optimal vertex. Returns None when HiGHS reports an error
     or a non-optimal model, or leaves a non-finite x or a residual above
-    tolerance, in which case the caller falls back to the iterative path.
+    tolerance, in which case the caller returns the least-squares point.
     """
     core, solver = _highs_solver()
     m = an.shape[1]
@@ -453,22 +442,22 @@ def _bpdn_homotopy(an, y, eps, max_steps):
 def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     """l1 basis-pursuit denoising: min ||x||_1 s.t. ||y - A x||_2 <= epsilon.
 
-    The noiseless limit (epsilon = 0) is an equality-constrained linear
-    program, solved by HiGHS's dual simplex called directly through scipy's
-    bundled bindings (not through linprog), without presolve and at 1e-9
-    primal and dual feasibility tolerances; where the l1 minimum is tied it
-    returns one optimal vertex. The general case is solved
-    exactly by walking the lasso regularization path to the point where the
-    residual norm meets epsilon. If either route fails numerically (highly
-    coherent columns can make the path's active-set systems singular) the
-    solver falls back to bisection on the lasso penalty weight with an
-    accelerated proximal-gradient (FISTA) inner solver, which is slower but
-    convergent for any conditioning. Columns of A are normalized to unit
-    norm internally and the solution is rescaled back, so the l1 penalty
-    weights buses comparably. The objective trace is non-increasing: each
-    entry is the l1 value of the newest (best) feasible iterate. The
-    estimate's `route` names the branch that produced it: "zero" (y within
-    epsilon of zero), "lp", "homotopy" or "fallback".
+    epsilon is the only setting; ftol = convergence_tol * max(1, ||y||)
+    picks the route, which the estimate's `route` names. Zero ("zero") when
+    ||y|| <= epsilon. At epsilon <= ftol, which counts as zero, the
+    equality-constrained LP ("lp"), solved by HiGHS's dual simplex through
+    scipy's bundled bindings, without presolve, at 1e-9 primal and dual
+    feasibility tolerances; where the l1 minimum is tied it returns one
+    optimal vertex. If the LP finds no point within ftol, the least-squares
+    point comes back at once, not converged ("fallback"). At epsilon > ftol,
+    the lasso regularization path walked to where the residual norm meets
+    epsilon ("homotopy"); if the path fails numerically (coherent columns
+    can make its active-set systems singular), bisection on the lasso
+    weight with a FISTA inner solver, slower but convergent ("fallback").
+    Columns of A are normalized to unit norm internally and the solution is
+    rescaled back, so the l1 penalty weights buses comparably. The objective
+    trace is non-increasing: each entry is the l1 value of the newest (best)
+    feasible iterate.
 
     This is `BpdnProblem(a).solve(y, cfg)`; to solve for many y against one
     A, set the problem up once.
@@ -479,10 +468,11 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
 class BpdnProblem:
     """`solve_bpdn` against one matrix A, set up once and solved for many y.
 
-    The set-up validates A and normalizes its columns. The first epsilon = 0
-    solve builds the LP without its right-hand side; each LP solve sets the
-    row bounds to y and runs on its thread's one HiGHS solver. One thread at
-    a time may solve against a given problem.
+    The set-up validates A and normalizes its columns. The first
+    basis-pursuit solve (epsilon <= ftol) builds the LP without its
+    right-hand side; each LP solve sets the row bounds to y and runs on its
+    thread's one HiGHS solver. One thread at a time may solve against a
+    given problem.
     """
 
     def __init__(self, a):
@@ -518,44 +508,40 @@ class BpdnProblem:
         n, m = an.shape
         eps = cfg.epsilon
         y_norm = float(np.linalg.norm(y))
-        ftol = max(cfg.convergence_tol, 1e-12) * max(1.0, y_norm)
+        ftol = cfg.convergence_tol * max(1.0, y_norm)
 
         if y_norm <= eps:
             # zero is feasible and l1-minimal
             return np.zeros(m), y_norm, 0, True, (0.0,), "zero"
 
-        if eps == 0.0:
+        if eps <= ftol:
+            # basis pursuit: below the solver's tolerance eps counts as zero
             if self._lp is None:
                 self._lp = _bp_lp_template(an)
             lp = _solve_bp_lp(an, y, ftol, self._lp)
             if lp is not None:
                 beta, residual, nit = lp
                 return beta, residual, nit, True, (float(np.abs(beta).sum()),), "lp"
+            best_x, sweeps = None, 0
         else:
             hom = _bpdn_homotopy(an, y, eps, max_steps=8 * (n + m) + 32)
             if hom is not None:
                 beta, residual, steps = hom
                 return beta, residual, steps, True, (float(np.abs(beta).sum()),), "homotopy"
-
-        # fallback: bisection on the lasso penalty, each subproblem solved by
-        # accelerated proximal gradient (FISTA). Convergent regardless of
-        # conditioning; the working epsilon is floored at ftol so the equality
-        # limit still terminates
-        eps_eff = max(eps, ftol)
-        best_x, best_res, sweeps, trace, closed = _bpdn_cd_bisect(
-            an, y, eps_eff, cfg.max_iterations, max(cfg.convergence_tol, 1e-12)
-        )
-        converged = closed and best_x is not None
+            # FISTA bisection: convergent regardless of conditioning, and
+            # eps > ftol gives it a positive radius to close on
+            best_x, best_res, sweeps, trace, closed = _bpdn_cd_bisect(an, y, eps)
         if best_x is None:
-            # even the unpenalized least-squares fit sits above epsilon
-            best_x, *_ = np.linalg.lstsq(an, y, rcond=None)
+            # no point within epsilon (within ftol for basis pursuit): the
+            # least-squares point, which is as close as any x gets
+            best_x = min_energy(an, y)
             best_res = float(np.linalg.norm(y - an @ best_x))
             trace = (float(np.abs(best_x).sum()),)
-            converged = False
-        return best_x, best_res, sweeps, converged, trace, "fallback"
+            closed = False
+        return best_x, best_res, sweeps, closed, trace, "fallback"
 
 
-def _bpdn_cd_bisect(an, y, eps, inner_cap, tol):
+def _bpdn_cd_bisect(an, y, eps):
     """BPDN by outer bisection on the lasso weight, inner proximal gradient.
 
     The lasso residual norm grows monotonically with the penalty weight, so
@@ -563,6 +549,8 @@ def _bpdn_cd_bisect(an, y, eps, inner_cap, tol):
     within eps; bisection brackets it while an accelerated proximal-gradient
     iteration (warm-started across weights) solves each penalized
     subproblem. Returns the iterate from the feasible side of the bracket.
+    `solve_bpdn` calls it only for eps > ftol, after the homotopy gave up;
+    basis pursuit (eps <= ftol) never comes here.
     """
     n, m = an.shape
     lam_hi = float(np.abs(an.T @ y).max())
@@ -580,7 +568,7 @@ def _bpdn_cd_bisect(an, y, eps, inner_cap, tol):
         xk = beta.copy()
         zk = beta.copy()
         tk = 1.0
-        for _ in range(inner_cap):
+        for _ in range(SolverConfig.max_iterations):
             iterations += 1
             grad = an.T @ (an @ zk - y)
             xn = zk - step * grad
@@ -590,7 +578,7 @@ def _bpdn_cd_bisect(an, y, eps, inner_cap, tol):
             delta = float(np.abs(xn - xk).max())
             xk = xn
             tk = tn
-            if delta <= tol * max(1.0, float(np.abs(xk).max())):
+            if delta <= SolverConfig.convergence_tol * max(1.0, float(np.abs(xk).max())):
                 break
         beta = xk
         res = float(np.linalg.norm(y - an @ beta))

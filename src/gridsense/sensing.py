@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import CaseParseError, ImpedanceModel, ValidationError
+from .network import CaseParseError, ImpedanceModel, ValidationError, read_sections
 
 PLAN_HEADER = "gridsense-plan v1"
 
@@ -61,12 +61,16 @@ class PlacementPlan:
     @classmethod
     def from_text(cls, text: str) -> "PlacementPlan":
         fields: dict[str, list[str]] = {}
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-        if not lines or lines[0] != PLAN_HEADER:
-            raise CaseParseError(f"missing header line {PLAN_HEADER!r}")
-        for ln in lines[1:]:
-            key, *vals = ln.split()
+
+        def parse_line(_, tok):
+            key, *vals = tok
+            if key not in ("buses", "trace", "final_coherence"):
+                raise ValueError(f"unknown plan key {key!r}")
+            if key in fields:
+                raise ValueError(f"repeated plan key {key!r}")
             fields[key] = vals
+
+        read_sections(text, PLAN_HEADER, (), parse_line)
         try:
             chosen = tuple(int(v) for v in fields["buses"])
             trace = tuple(float(v) for v in fields.get("trace", []))

@@ -165,6 +165,16 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "error" in err
 
+    def test_nan_epsilon(self, capsys, scenario):
+        plan_path, snap_path, _ = scenario
+        code, out, err = run(
+            capsys, "estimate", "--case", IEEE9,
+            "--plan", str(plan_path), "--snapshot", str(snap_path), "--epsilon", "nan",
+        )
+        assert code == EXIT_DATA
+        assert "epsilon must be >= 0" in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "buses, message",
         [((0, 3, 5), "unknown bus id 0"), ((3, 3, 5), "duplicate sensor buses in (3, 3, 5)")],

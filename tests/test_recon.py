@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -56,18 +57,25 @@ class TestSolverConfig:
         assert cfg.epsilon == 0.0
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"epsilon": -1.0},
-            {"max_iterations": 0},
-            {"newton_max_iter": 0},
-            {"convergence_tol": 0.0},
-            {"newton_tol": -1e-9},
-        ],
+        "kwargs", [{"epsilon": -1.0}, pytest.param({"epsilon": float("nan")}, id="nan")]
     )
     def test_invalid_fields(self, kwargs):
         with pytest.raises(ValidationError):
             SolverConfig(**kwargs)
+
+    def test_epsilon_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["epsilon"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("max_iterations", 4000), ("convergence_tol", 1e-7),
+         ("newton_max_iter", 50), ("newton_tol", 1e-10)],
+    )
+    def test_constants_not_settable(self, name, value):
+        assert getattr(SolverConfig, name) == value
+        assert getattr(SolverConfig(epsilon=0.5), name) == value
+        with pytest.raises(TypeError):
+            SolverConfig(**{name: value})
 
 
 class TestApplyCurrentOffsets:
@@ -202,6 +210,11 @@ class TestSolveBpdn:
         est = solve_bpdn(np.eye(2), [0.3, 0.4], SolverConfig(epsilon=0.6))
         assert est.route == "zero"
 
+    def test_route_zero_infinite_epsilon(self):
+        est = solve_bpdn(np.eye(2), [0.3, 0.4], SolverConfig(epsilon=np.inf))
+        assert est.route == "zero"
+        assert est.converged
+
     def test_route_lp(self):
         a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         assert solve_bpdn(a, [2.0, 2.0], SolverConfig(epsilon=0.0)).route == "lp"
@@ -209,6 +222,17 @@ class TestSolveBpdn:
     def test_route_homotopy(self):
         a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         assert solve_bpdn(a, [2.0, 2.0], SolverConfig(epsilon=0.1)).route == "homotopy"
+
+    def test_route_threshold(self):
+        # ftol = convergence_tol * max(1, ||y||): at or below it epsilon counts
+        # as zero and the LP solves basis pursuit; above it the homotopy runs
+        a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        y = np.array([2.0, 2.0])
+        ftol = SolverConfig.convergence_tol * np.linalg.norm(y)
+        at = solve_bpdn(a, y, SolverConfig(epsilon=ftol))
+        above = solve_bpdn(a, y, SolverConfig(epsilon=np.nextafter(ftol, np.inf)))
+        assert (at.route, at.converged) == ("lp", True)
+        assert (above.route, above.converged) == ("homotopy", True)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -297,9 +321,23 @@ class TestBpdnFallback:
         [([[1.0], [0.0]], [0.0, 1.0]), ([[1.0, 1.0], [0.0, 0.0]], [1.0, 1e-3])],
     )
     def test_infeasible_lp_not_converged(self, fallback_calls, a, y):
-        # y outside range(A): the equality LP has no solution
+        # y outside range(A): the equality LP has no solution, and the
+        # least-squares point comes back at once, without the bisection.
+        # A's columns have unit norm, so no rescaling hides in the comparison
         est = solve_bpdn(np.array(a), y, SolverConfig(epsilon=0.0))
-        assert len(fallback_calls) == 1
+        assert len(fallback_calls) == 0
+        assert est.route == "fallback"
+        assert est.converged is False
+        assert est.iterations_used == 0
+        assert np.array_equal(est.injections, np.linalg.lstsq(np.array(a), y, rcond=None)[0])
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 1.5, 1e6])
+    def test_bisection_only_above_ftol(self, fallback_calls, scale):
+        # ||y|| = 1, so ftol = convergence_tol; no point fits y within it,
+        # and the homotopy gives up at once (A^T y = 0)
+        ftol = SolverConfig.convergence_tol
+        est = solve_bpdn(np.array([[1.0], [0.0]]), [0.0, 1.0], SolverConfig(epsilon=scale * ftol))
+        assert [args[2] for args in fallback_calls] == ([scale * ftol] if scale > 1 else [])
         assert est.route == "fallback"
         assert est.converged is False
 
@@ -409,7 +447,7 @@ class TestBpLpOracle:
     def test_interleaved_random_models(self, lp_calls):
         # one problem set up per matrix, one in three right-hand sides infeasible
         rng = np.random.default_rng(5)
-        cfg = SolverConfig(epsilon=0.0, max_iterations=50)
+        cfg = SolverConfig(epsilon=0.0)
         for k in range(12):
             a = rng.standard_normal((4, 8))
             a[rng.random(a.shape) < 0.2] = 0.0
@@ -521,26 +559,30 @@ class TestBpLpNoFallback:
 
 class TestHomotopyCertificate:
     @pytest.fixture
-    def fallback_skipped(self, monkeypatch):
-        # the FISTA fallback takes over a second on this plan; the route is
-        # what matters here, so it returns "nothing feasible found" at once
-        monkeypatch.setattr(recon, "_bpdn_cd_bisect", lambda *args: (None, None, 0, [], False))
-
-    def test_tiny_epsilon_ieee118(self, fallback_skipped, ieee118_network, ieee118_model):
-        # at eps = 1e-9 ||y|| the crossing weight is ~1e-10, below the
-        # absolute 1e-9 slack the certificate once had; it then accepted this
-        # trial's point at 17x the LP's l1 norm
+    def trial_29(self, ieee118_network, ieee118_model):
+        """(A, y) of trial 29 on the 118-bus buses 1...60 plan, S=2, seed 1."""
         plan = greedy_place_sensors(ieee118_model, 60)
         spec = ScenarioSpec(ieee118_network, ieee118_model, plan, 2, seed=1)
         a = ieee118_model.impedance[np.array(sorted(plan.chosen)) - 1]
-        y = a @ sample_sparse_state(118, spec, 29)
-        est = solve_bpdn(a, y, SolverConfig(epsilon=1e-9 * np.linalg.norm(y)))
-        assert est.route in ("fallback", "homotopy")
-        if est.route == "homotopy":
-            an = a / np.linalg.norm(a, axis=0)
+        return a, a @ sample_sparse_state(118, spec, 29)
+
+    def test_tiny_epsilon_ieee118(self, trial_29):
+        # at eps = 1e-9 ||y|| the crossing weight is ~1e-10, below the
+        # absolute 1e-9 slack the certificate once had; it then accepted this
+        # trial's point at 17x the LP's l1 norm
+        a, y = trial_29
+        an = a / np.linalg.norm(a, axis=0)
+        hom = recon._bpdn_homotopy(an, y, 1e-9 * np.linalg.norm(y), 8 * sum(an.shape) + 32)
+        if hom is not None:
             lp = linprog(np.ones(236), A_eq=np.hstack([an, -an]), b_eq=y,
                          bounds=(0, None), method="highs")
-            assert est.objective_trace[-1] == pytest.approx(lp.fun, rel=1e-6)
+            assert np.abs(hom[0]).sum() == pytest.approx(lp.fun, rel=1e-6)
+
+    def test_tiny_epsilon_is_basis_pursuit(self, trial_29):
+        # 1e-9 ||y|| is below ftol = 1e-7 max(1, ||y||): the LP solves it
+        a, y = trial_29
+        est = solve_bpdn(a, y, SolverConfig(epsilon=1e-9 * np.linalg.norm(y)))
+        assert (est.route, est.converged) == ("lp", True)
 
 
 class TestLazyHighsImport:
@@ -657,6 +699,16 @@ class TestMeasurementSet:
     def test_malformed_line(self):
         with pytest.raises(CaseParseError):
             MeasurementSet.from_text("gridsense-snapshot v1\n[voltages]\n1 x\n")
+
+    def test_error_carries_line_number(self):
+        with pytest.raises(CaseParseError, match="line 4: could not convert"):
+            MeasurementSet.from_text("gridsense-snapshot v1\n[voltages]\n1 1.0\n2 x\n")
+
+    @pytest.mark.parametrize("section, line", [("voltages", "3 0.5"), ("voltage_sources", "3")])
+    def test_repeated_bus_in_section(self, section, line):
+        text = f"gridsense-snapshot v1\n[{section}]\n{line}\n# again\n{line}\n"
+        with pytest.raises(CaseParseError, match=rf"line 5: bus 3 appears twice in \[{section}\]"):
+            MeasurementSet.from_text(text)
 
     def test_power_and_known_overlap_error(self):
         with pytest.raises(ValidationError):

@@ -365,6 +365,20 @@ class TestPlanSerialization:
         with pytest.raises(CaseParseError):
             PlacementPlan.from_text("gridsense-plan v1\nbuses 1 2\n")
 
+    def test_inline_comment(self):
+        plan = PlacementPlan.from_text("gridsense-plan v1\nbuses 1 2 3  # note\nfinal_coherence 0.5\n")
+        assert plan.chosen == (1, 2, 3)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("buses 4 5", "line 4: repeated plan key 'buses'"),
+         ("bus 4 5", "line 4: unknown plan key 'bus'")],
+    )
+    def test_repeated_or_unknown_key(self, line, message):
+        text = f"gridsense-plan v1\nbuses 1 2 3\nfinal_coherence 0.5\n{line}\n"
+        with pytest.raises(CaseParseError, match=message):
+            PlacementPlan.from_text(text)
+
     def test_comments_and_blank_lines(self):
         text = "gridsense-plan v1\n# note\n\nbuses 3 1\ntrace 0.5 0.25\nfinal_coherence 0.25\n"
         plan = PlacementPlan.from_text(text)
