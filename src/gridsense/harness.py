@@ -42,8 +42,8 @@ class ScenarioSpec:
             raise ValidationError("injection range must satisfy low < high")
         if self.sign_policy not in SIGN_POLICIES:
             raise ValidationError(f"sign_policy must be one of {SIGN_POLICIES}")
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be >= 0")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValidationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +174,8 @@ def simulate_measurements(model: ImpedanceModel, plan: PlacementPlan, i_true) ->
 
 def add_noise(y, noise_std: float, seed: int, trial_index: int) -> np.ndarray:
     """Additive zero-mean Gaussian meter error in absolute p.u."""
-    if noise_std < 0:
-        raise ValidationError("noise_std must be >= 0")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValidationError(f"noise_std must be finite and >= 0, got {noise_std}")
     y = np.asarray(y, dtype=float)
     if noise_std == 0:
         return y.copy()

@@ -234,8 +234,9 @@ def _highs_solver():
     dual feasibility tolerances of 1e-9; that is linprog(method="highs")'s
     options for presolve=False and those two tolerances. Presolve would take
     most of a solve on these small dense LPs, and at the default 1e-7
-    tolerances its answers can miss ftol. passModel clears the previous
-    model, basis and solution, so reuse changes no answer.
+    tolerances its answers can miss ftol. Each solve passes its whole model
+    as arrays, and passModel clears the previous model, basis and solution,
+    so reuse changes no answer.
     """
     try:
         return _HIGHS.core, _HIGHS.solver
@@ -262,37 +263,32 @@ def _highs_solver():
     return _core, solver
 
 
-def _bp_lp_template(an):
-    """Basis pursuit min 1.(p + q) s.t. A(p - q) = y, p, q >= 0, without its row bounds.
+def _bp_lp_arrays(an):
+    """Basis pursuit min 1.(p + q) s.t. A(p - q) = y, p, q >= 0, as HiGHS's arrays.
 
-    The constraint matrix is the column-wise [A, -A] with exact zeros
-    dropped, like linprog's CSC copy; each solve sets the row bounds to y.
+    (col_cost, col_lower, col_upper, a_start, a_index, a_value,
+    integrality): everything but the row bounds, which each solve passes as
+    y. The constraint matrix is the column-wise [A, -A] with exact zeros
+    dropped, like linprog's CSC copy; the integrality is all continuous,
+    since the bindings reject an empty array. No solve writes to the
+    arrays, so threads can share them.
     """
-    core, _ = _highs_solver()
-    n, m = an.shape
+    m = an.shape[1]
     nz = an.T != 0
-    rows = np.nonzero(nz)[1]
-    vals = an.T[nz]
-    counts = np.tile(nz.sum(axis=1), 2)
-    lp = core.HighsLp()
-    lp.num_col_ = 2 * m
-    lp.num_row_ = n
-    lp.col_cost_ = np.ones(2 * m)
-    lp.col_lower_ = np.zeros(2 * m)
-    lp.col_upper_ = np.full(2 * m, core.kHighsInf)
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = 2 * m
-    lp.a_matrix_.num_row_ = n
-    lp.a_matrix_.start_ = np.concatenate(([0], np.cumsum(counts)))
-    lp.a_matrix_.index_ = np.tile(rows, 2)
-    lp.a_matrix_.value_ = np.concatenate((vals, -vals))
-    return lp
+    index = np.nonzero(nz)[1].astype(np.int32)
+    value = an.T[nz]
+    start = np.concatenate(([0], np.cumsum(np.tile(nz.sum(axis=1), 2)))).astype(np.int32)
+    return (
+        np.ones(2 * m), np.zeros(2 * m), np.full(2 * m, np.inf), start,
+        np.tile(index, 2), np.concatenate((value, -value)), np.zeros(2 * m, dtype=np.int32),
+    )
 
 
-def _solve_bp_lp(an, y, ftol, lp):
+def _solve_bp_lp(an, y, ftol, arrays):
     """Equality-constrained basis pursuit as a linear program, solved by HiGHS.
 
-    `lp` is `_bp_lp_template(an)`; its row bounds are set to y here. HiGHS's
+    `arrays` is `_bp_lp_arrays(an)`; they go to passModel as they are,
+    with y as both row bounds, so no object is written to per solve. HiGHS's
     dual simplex is called directly, on this thread's solver, with the model
     linprog(method="highs") would build and the options it would pass for
     presolve=False and 1e-9 feasibility tolerances, so x and the iteration
@@ -302,12 +298,15 @@ def _solve_bp_lp(an, y, ftol, lp):
     tolerance, in which case the caller returns the least-squares point.
     """
     core, solver = _highs_solver()
-    m = an.shape[1]
-    lp.row_lower_ = y
-    lp.row_upper_ = y
+    n, m = an.shape
+    cost, lower, upper, start, index, value, integrality = arrays
     error = core.HighsStatus.kError
     if (
-        solver.passModel(lp) == error
+        solver.passModel(
+            2 * m, n, value.size, int(core.MatrixFormat.kColwise),
+            int(core.ObjSense.kMinimize), 0.0, cost, lower, upper, y, y, start, index, value,
+            integrality,
+        ) == error
         or solver.run() == error
         or solver.getModelStatus() != core.HighsModelStatus.kOptimal
     ):
@@ -460,7 +459,7 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     feasible iterate.
 
     This is `BpdnProblem(a).solve(y, cfg)`; to solve for many y against one
-    A, set the problem up once.
+    A, set the problem up once, and the LP's arrays are built once.
     """
     return BpdnProblem(a).solve(y, cfg)
 
@@ -469,10 +468,11 @@ class BpdnProblem:
     """`solve_bpdn` against one matrix A, set up once and solved for many y.
 
     The set-up validates A and normalizes its columns. The first
-    basis-pursuit solve (epsilon <= ftol) builds the LP without its
-    right-hand side; each LP solve sets the row bounds to y and runs on its
-    thread's one HiGHS solver. One thread at a time may solve against a
-    given problem.
+    basis-pursuit solve (epsilon <= ftol) builds the LP's arrays without
+    its right-hand side; each LP solve passes them with y to its thread's
+    one HiGHS solver. A solve writes to nothing the problem holds, so
+    threads may solve against one problem at once (two first solves at
+    once may both build the same arrays).
     """
 
     def __init__(self, a):
@@ -484,7 +484,7 @@ class BpdnProblem:
         col_norms = np.linalg.norm(a, axis=0)
         self.col_norms = np.where(col_norms > 0, col_norms, 1.0)
         self.an = a / self.col_norms
-        self._lp = None
+        self._lp_arrays = None
 
     def solve(self, y, cfg: SolverConfig) -> SparseEstimate:
         y = np.asarray(y, dtype=float)
@@ -516,9 +516,9 @@ class BpdnProblem:
 
         if eps <= ftol:
             # basis pursuit: below the solver's tolerance eps counts as zero
-            if self._lp is None:
-                self._lp = _bp_lp_template(an)
-            lp = _solve_bp_lp(an, y, ftol, self._lp)
+            if self._lp_arrays is None:
+                self._lp_arrays = _bp_lp_arrays(an)
+            lp = _solve_bp_lp(an, y, ftol, self._lp_arrays)
             if lp is not None:
                 beta, residual, nit = lp
                 return beta, residual, nit, True, (float(np.abs(beta).sum()),), "lp"

@@ -9,7 +9,13 @@ import shutil
 import numpy as np
 import pytest
 
-from gridsense import PlacementPlan, bundled_case_path
+from gridsense import (
+    MeasurementSet,
+    PlacementPlan,
+    SolverConfig,
+    bundled_case_path,
+    estimate_state,
+)
 from gridsense.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -20,6 +26,7 @@ from gridsense.cli import (
 )
 
 IEEE9 = str(bundled_case_path("ieee9.case"))
+IEEE118 = str(bundled_case_path("ieee118.case"))
 
 
 def run(capsys, *argv):
@@ -196,6 +203,39 @@ class TestEstimate:
         assert out == ""
 
 
+class TestEstimateIeee118:
+    def test_greedy_plan_takes_the_lp(self, capsys, tmp_path, ieee118_model):
+        # buses 1...60, two unknown injections and two known current sources
+        plan_path = tmp_path / "plan.txt"
+        code, _, _ = run(
+            capsys, "place", "--case", IEEE118, "--meters", "60", "--out", str(plan_path),
+        )
+        assert code == EXIT_OK
+        plan = PlacementPlan.from_text(plan_path.read_text())
+        known = {10: 0.5, 101: -0.3}
+        i_true = np.zeros(118)
+        i_true[[70, 95]] = [1.25, -0.8]
+        for b, v in known.items():
+            i_true[b - 1] = v
+        y = ieee118_model.impedance[np.array(plan.chosen) - 1] @ i_true
+        meas = MeasurementSet(voltage_readings=dict(zip(plan.chosen, y)), known_injections=known)
+        snap_path = tmp_path / "snap.meas"
+        snap_path.write_text(meas.to_text())
+        target = tmp_path / "estimate.json"
+        code, _, _ = run(
+            capsys, "estimate", "--case", IEEE118,
+            "--plan", str(plan_path), "--snapshot", str(snap_path), "--out", str(target),
+        )
+        assert code == EXIT_OK
+        payload = json.loads(target.read_text())
+        assert (payload["route"], payload["converged"]) == ("lp", True)
+        got = np.array([payload["injections"][str(b)] for b in range(1, 119)])
+        want = estimate_state(
+            ieee118_model, MeasurementSet.from_text(snap_path.read_text()), plan, SolverConfig()
+        )
+        assert np.array_equal(got, want.injections)
+
+
 class TestBench:
     @pytest.mark.parametrize(
         "buses, message",
@@ -289,6 +329,17 @@ class TestBench:
             assert code == EXIT_OK
             targets.append(target)
         assert targets[0].read_bytes() == targets[1].read_bytes()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    @pytest.mark.parametrize("estimator", ["cs", "min-energy"])
+    def test_non_finite_noise(self, capsys, noise, estimator):
+        code, out, err = run(
+            capsys, "bench", "--case", IEEE9, "--meters", "7", "--sparsity", "1",
+            "--noise", noise, "--estimator", estimator, "--trials", "3", "--seed", "1",
+        )
+        assert code == EXIT_DATA
+        assert f"noise_std must be finite and >= 0, got {noise}" in err
+        assert out == ""
 
     def test_random_cell_runs_every_trial(self, capsys, tmp_path):
         target = tmp_path / "r.json"

@@ -69,6 +69,11 @@ class TestScenarioSpec:
         with pytest.raises(ValidationError):
             ieee9_spec(noise_std=-0.01)
 
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
+    def test_non_finite_noise(self, ieee9_spec, noise_std):
+        with pytest.raises(ValidationError, match="noise_std must be finite and >= 0"):
+            ieee9_spec(noise_std=noise_std)
+
 
 class TestSampleSparseState:
     def test_single_active_bus(self, ieee9_spec):
@@ -150,6 +155,11 @@ class TestAddNoise:
     def test_negative_std_error(self):
         with pytest.raises(ValidationError):
             add_noise(np.zeros(2), -1.0, seed=0, trial_index=0)
+
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
+    def test_non_finite_std_error(self, noise_std):
+        with pytest.raises(ValidationError, match="noise_std must be finite and >= 0"):
+            add_noise(np.zeros(2), noise_std, seed=0, trial_index=0)
 
     def test_deterministic(self):
         y = np.zeros(8)

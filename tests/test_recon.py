@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse
 from scipy.optimize import linprog
 
 from gridsense import (
@@ -494,6 +495,101 @@ class TestBpLpOracle:
         for i, want in enumerate(serial):
             assert all(np.array_equal(g, w) for g, w in zip(results[i], want, strict=True))
         assert len({id(solver) for solver in solvers.values()}) == len(work)
+
+
+class TestBpLpArrays:
+    """The LP's arrays: their layout, when they are built, and sharing them."""
+
+    @staticmethod
+    def assert_layout(problem):
+        cost, lower, upper, start, index, value, integrality = problem._lp_arrays
+        want = scipy.sparse.csc_array(np.hstack([problem.an, -problem.an]))
+        m = problem.an.shape[1]
+        assert start.dtype == index.dtype == integrality.dtype == np.int32
+        assert np.array_equal(start, want.indptr)
+        assert np.array_equal(index, want.indices)
+        assert np.array_equal(value, want.data)
+        assert np.array_equal(cost, np.ones(2 * m))
+        assert np.array_equal(lower, np.zeros(2 * m))
+        assert np.array_equal(upper, np.full(2 * m, np.inf))
+        assert np.array_equal(integrality, np.zeros(2 * m))
+
+    @pytest.mark.parametrize(
+        "a, y",
+        [
+            ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [2.0, 2.0]),
+            ([[1.0, 0.0], [0.0, 1.0]], [0.3, 0.4]),
+            ([[1.0], [0.0]], [2.0, 0.0]),
+            ([[1.0], [0.0]], [0.0, 1.0]),
+            ([[1.0, 1.0], [0.0, 0.0]], [1.0, 1e-3]),
+        ],
+    )
+    def test_layout_hand_matrices(self, a, y):
+        problem = recon.BpdnProblem(np.array(a))
+        problem.solve(y, SolverConfig(epsilon=0.0))
+        self.assert_layout(problem)
+
+    def test_layout_ieee118_greedy_plan(self, ieee118_model):
+        plan = greedy_place_sensors(ieee118_model, 60)
+        a = ieee118_model.impedance[np.array(sorted(plan.chosen)) - 1]
+        problem = recon.BpdnProblem(a)
+        x = np.zeros(118)
+        x[[70, 95]] = [1.25, -0.8]
+        assert problem.solve(a @ x, SolverConfig(epsilon=0.0)).route == "lp"
+        self.assert_layout(problem)
+
+    def test_built_once_and_only_for_basis_pursuit(self, monkeypatch):
+        built = []
+        inner = recon._bp_lp_arrays
+        monkeypatch.setattr(recon, "_bp_lp_arrays", lambda an: built.append(an) or inner(an))
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 10))
+        ys = []
+        for _ in range(20):
+            x = np.zeros(10)
+            x[rng.choice(10, 2, replace=False)] = rng.standard_normal(2)
+            ys.append(a @ x)
+        noisy = recon.BpdnProblem(a)
+        for y in ys:
+            est = noisy.solve(y, SolverConfig(epsilon=0.1 * np.linalg.norm(y)))
+            assert est.route in ("homotopy", "fallback")
+        assert built == []
+        problem = recon.BpdnProblem(a)
+        assert {problem.solve(y, SolverConfig(epsilon=0.0)).route for y in ys} == {"lp"}
+        assert len(built) == 1
+
+    def test_threads_share_one_problem(self):
+        # no solve writes to the problem, so threads switching often on one
+        # shared problem get the serial answers
+        rng = np.random.default_rng(9)
+        cfg = SolverConfig(epsilon=0.0)
+        a = rng.standard_normal((5, 10))
+        work = [
+            [a @ (rng.standard_normal(10) * (rng.random(10) < 0.3)) for _ in range(25)]
+            for _ in range(4)
+        ]
+        serial = [[solve_bpdn(a, y, cfg) for y in ys] for ys in work]
+        problem = recon.BpdnProblem(a)
+        results = {}
+
+        def run(i):
+            results[i] = [problem.solve(y, cfg) for y in work[i]]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, want in enumerate(serial):
+            for got, est in zip(results[i], want, strict=True):
+                assert np.array_equal(got.injections, est.injections)
+                assert (got.iterations_used, got.route) == (est.iterations_used, est.route)
 
 
 class TestBpLpDualCertificate:
