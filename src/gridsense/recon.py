@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -325,78 +326,119 @@ def _solve_bp_lp(an, y, ftol, arrays):
 
 
 def _bpdn_homotopy(an, y, eps, max_steps):
-    """Exact BPDN via the lasso regularization path.
+    """Exact BPDN via the lasso regularization path (LARS-lasso, Efron et al. 2004).
 
     The lasso solution is piecewise linear in the penalty weight, and the
     residual norm shrinks monotonically as the weight decreases; walking the
     path from the all-zero end and stopping where the residual crosses eps
     yields the constrained optimum directly. Returns (beta, residual, steps)
-    or None when the active-set walk degenerates (caller falls back to FISTA).
+    or None when the walk gives up and the caller falls back to FISTA: no
+    event and no crossing, an empty active set, max_steps used, or a
+    crossing point that fails the KKT certificate.
+
+    Each step takes one SVD of the active columns A_S and reads both segment
+    solves from it, with lstsq's truncations: phi = pinv(A_S) y keeps the
+    singular values s > 1e-11 s_max (rcond=1e-11 on A_S), and psi =
+    pinv(A_S^T A_S) signs keeps s^2 > 1e-11 s_max^2 (rcond=1e-11 on the
+    Gram). The next event is the largest candidate weight at or below the
+    current one, clipped to it; of candidates above it the last one wins,
+    otherwise the first maximum. An active coefficient drops only when it
+    moves towards zero from its sign's side. Tied events (LARS section 3.1):
+    when the coefficient added last moves against its sign on its first
+    segment (signs[-1] * psi[-1] <= 0), it cannot join at this weight. It
+    is taken out and skipped, and the previous segment is searched again at
+    the same weight; the skipped set empties once the weight moves strictly
+    lower. The give-ups still seen on the bundled models are certificate
+    failures on plans with near-duplicate columns (buses 1...60 of the
+    118-bus model): psi's truncation drops a direction that phi keeps, the
+    path jumps, and an inactive correlation starts a segment above the
+    weight.
     """
-    n, m = an.shape
-    c0 = an.T @ y
-    lam = float(np.abs(c0).max())
+    m = an.shape[1]
+    c0 = (an.T @ y).tolist()
+    mags = [abs(c) for c in c0]
+    lam = max(mags)
     if lam <= 0:
         return None
-    active: list[int] = [int(np.argmax(np.abs(c0)))]
-    signs = np.array([np.sign(c0[active[0]])])
+    active: list[int] = [mags.index(lam)]
+    signs: list[float] = [1.0 if c0[active[0]] > 0 else -1.0]
     tiny = 1e-13 * max(1.0, lam)
     # the index involved in the most recent event has a candidate event
     # sitting exactly at the segment's starting lam; only that spurious
     # re-fire is suppressed, a genuine later event for it stays allowed
     barred = active[0]
+    # indices whose add at the current lam was undone: wrong-signed there
+    skip: set[int] = set()
+    added = False
+    kept = None
 
     for step in range(1, max_steps + 1):
         sub = an[:, active]
-        gram = sub.T @ sub
+        left, sv, right = np.linalg.svd(sub, full_matrices=False)
         # truncated least squares: coherent columns drive the active-set
         # systems towards singularity, and plain solves derail the path
-        phi, *_ = np.linalg.lstsq(sub, y, rcond=1e-11)
-        psi, *_ = np.linalg.lstsq(gram, signs.astype(float), rcond=1e-11)
-        # on this segment beta(l) = phi - l*psi, residual r(l) = u + l*v
-        u = y - sub @ phi
-        v = sub @ psi
+        s = sv.tolist()
+        k_phi = sum(1 for x in s if x > 1e-11 * s[0])
+        k_psi = sum(1 for x in s if x * x > 1e-11 * s[0] * s[0])
+        psi = right[:k_psi].T @ ((right[:k_psi] @ signs) / (sv[:k_psi] * sv[:k_psi]))
+        if added and signs[-1] * psi[-1] <= 0:
+            skip.add(active.pop())
+            signs.pop()
+            barred, segment = kept
+        else:
+            phi = right[:k_phi].T @ ((left[:, :k_phi].T @ y) / sv[:k_phi])
+            # on this segment beta(l) = phi - l*psi, residual r(l) = u + l*v;
+            # kept: phi, psi, the correlations A^T u and A^T v, and the Gram of (u, v)
+            uv = np.array((y - sub @ phi, sub @ psi))
+            segment = phi, psi, *(uv @ an).tolist(), *(uv @ uv.T).tolist()
+        kept = barred, segment
+        phi, psi, cu, cv, (uu, u_v), (_, vv) = segment
 
         # next active-set event: an inactive correlation reaching the bound
         # or an active coefficient hitting zero; events may coincide with the
         # current lam when columns are highly coherent, so allow cand == lam
         lam_next = 0.0
-        event = None  # (kind, index, sign)
-        inactive = [j for j in range(m) if j not in active]
-        if inactive:
-            cu = an[:, inactive].T @ u
-            cv = an[:, inactive].T @ v
-            for k, j in enumerate(inactive):
-                for sgn in (1.0, -1.0):
-                    denom = sgn - cv[k]
-                    if abs(denom) < tiny:
-                        continue
-                    cand = cu[k] / denom
-                    if j == barred and cand > lam * (1.0 - 1e-9) - tiny:
-                        continue
-                    if tiny < cand <= lam + tiny and cand > lam_next:
-                        lam_next = min(cand, lam)
-                        event = ("add", j, sgn)
-        for pos, j in enumerate(active):
-            if abs(psi[pos]) < tiny:
+        event = None  # (add, index, sign)
+        top = lam + tiny
+        near = lam * (1.0 - 1e-9) - tiny
+        in_active = set(active)
+        for j in range(m):
+            if j in in_active:
                 continue
-            cand = phi[pos] / psi[pos]
-            if j == barred and cand > lam * (1.0 - 1e-9) - tiny:
+            held = j == barred or j in skip
+            for sgn in (1.0, -1.0):
+                denom = sgn - cv[j]
+                if abs(denom) < tiny:
+                    continue
+                cand = cu[j] / denom
+                if held and cand > near:
+                    continue
+                if tiny < cand <= top and cand > lam_next:
+                    lam_next = min(cand, lam)
+                    event = (True, j, sgn)
+        for j, sign, p, q in zip(active, signs, phi.tolist(), psi.tolist()):
+            # only a coefficient moving towards zero from its sign's side
+            # drops; one moving away has its zero crossing behind, and one
+            # just added crosses below lam only by rounding
+            if abs(q) < tiny or sign * q > 0:
                 continue
-            if tiny < cand <= lam + tiny and cand > lam_next:
+            cand = p / q
+            if j == barred and cand > near:
+                continue
+            if tiny < cand <= top and cand > lam_next:
                 lam_next = min(cand, lam)
-                event = ("drop", j, 0.0)
+                event = (False, j, 0.0)
 
         # residual-norm crossing ||u + l v|| = eps; the segment formulas are
         # only valid down to the next event, so restrict roots to [lam_next, lam]
-        a2 = float(v @ v)
-        a1 = 2.0 * float(u @ v)
-        a0 = float(u @ u) - eps * eps
+        a2 = vv
+        a1 = 2.0 * u_v
+        a0 = uu - eps * eps
         cross = None
         if a2 > 0:
             disc = a1 * a1 - 4.0 * a2 * a0
             if disc >= 0:
-                roots = [(-a1 + np.sqrt(disc)) / (2 * a2), (-a1 - np.sqrt(disc)) / (2 * a2)]
+                roots = [(-a1 + math.sqrt(disc)) / (2 * a2), (-a1 - math.sqrt(disc)) / (2 * a2)]
                 valid = [r for r in roots if lam_next - tiny <= r <= lam + tiny]
                 if valid:
                     cross = max(valid)
@@ -411,28 +453,32 @@ def _bpdn_homotopy(an, y, eps, max_steps):
             # at the weight with matching sign. The slack is relative to the
             # weight only: at a tiny eps the weight itself is tiny, and any
             # absolute term would pass points that are merely feasible
-            corr = an.T @ (y - an @ beta)
+            r = y - an @ beta
+            corr = an.T @ r
             slack = cross * 1e-6
             if np.abs(corr).max() > cross + slack:
                 return None
             nz = np.flatnonzero(beta)
             if nz.size and np.abs(corr[nz] - cross * np.sign(beta[nz])).max() > slack:
                 return None
-            residual = float(np.linalg.norm(y - an @ beta))
-            return beta, residual, step
+            return beta, math.sqrt(float(r @ r)), step
 
         if event is None:
             # no event and no crossing above: residual floor sits above eps
             return None
-        barred = event[1]
+        add, j, sgn = event
+        barred = j
+        if lam_next < lam:
+            skip.clear()
         lam = lam_next
-        if event[0] == "add":
-            active.append(event[1])
-            signs = np.append(signs, event[2])
+        added = add
+        if add:
+            active.append(j)
+            signs.append(sgn)
         else:
-            pos = active.index(event[1])
+            pos = active.index(j)
             active.pop(pos)
-            signs = np.delete(signs, pos)
+            signs.pop(pos)
             if not active:
                 return None
     return None
@@ -450,9 +496,15 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     optimal vertex. If the LP finds no point within ftol, the least-squares
     point comes back at once, not converged ("fallback"). At epsilon > ftol,
     the lasso regularization path walked to where the residual norm meets
-    epsilon ("homotopy"); if the path fails numerically (coherent columns
-    can make its active-set systems singular), bisection on the lasso
-    weight with a FISTA inner solver, slower but convergent ("fallback").
+    epsilon ("homotopy"), with one SVD of the active columns per step: the
+    least-squares part keeps singular values above 1e-11 s_max, the
+    direction part those whose square is above 1e-11 s_max^2. A tied add
+    whose coefficient would move against its sign is taken back and
+    skipped at that weight. Where the path gives up (no point within
+    epsilon, or an answer that fails its KKT certificate, which on the
+    bundled models is seen only on plans with near-duplicate columns, such
+    as buses 1...60 of the 118-bus model), bisection on the lasso weight
+    with a FISTA inner solver, slower but convergent ("fallback").
     Columns of A are normalized to unit norm internally and the solution is
     rescaled back, so the l1 penalty weights buses comparably. The objective
     trace is non-increasing: each entry is the l1 value of the newest (best)

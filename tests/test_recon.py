@@ -681,6 +681,215 @@ class TestHomotopyCertificate:
         assert (est.route, est.converged) == ("lp", True)
 
 
+def _reference_homotopy(an, y, eps, max_steps):
+    """The homotopy before tied events were handled: oracle for _bpdn_homotopy.
+
+    Two lstsq solves per step (phi on the active columns, psi on their
+    Gram). An add that ties the event before it and then moves against its
+    sign is not taken back, so the walk gives up in the certificate's sign
+    check. Returns (beta, residual, steps) or None.
+    """
+    n, m = an.shape
+    c0 = an.T @ y
+    lam = float(np.abs(c0).max())
+    if lam <= 0:
+        return None
+    active: list[int] = [int(np.argmax(np.abs(c0)))]
+    signs = np.array([np.sign(c0[active[0]])])
+    tiny = 1e-13 * max(1.0, lam)
+    # the index involved in the most recent event has a candidate event
+    # sitting exactly at the segment's starting lam; only that spurious
+    # re-fire is suppressed, a genuine later event for it stays allowed
+    barred = active[0]
+
+    for step in range(1, max_steps + 1):
+        sub = an[:, active]
+        gram = sub.T @ sub
+        # truncated least squares: coherent columns drive the active-set
+        # systems towards singularity, and plain solves derail the path
+        phi, *_ = np.linalg.lstsq(sub, y, rcond=1e-11)
+        psi, *_ = np.linalg.lstsq(gram, signs.astype(float), rcond=1e-11)
+        # on this segment beta(l) = phi - l*psi, residual r(l) = u + l*v
+        u = y - sub @ phi
+        v = sub @ psi
+
+        # next active-set event: an inactive correlation reaching the bound
+        # or an active coefficient hitting zero; events may coincide with the
+        # current lam when columns are highly coherent, so allow cand == lam
+        lam_next = 0.0
+        event = None  # (kind, index, sign)
+        inactive = [j for j in range(m) if j not in active]
+        if inactive:
+            cu = an[:, inactive].T @ u
+            cv = an[:, inactive].T @ v
+            for k, j in enumerate(inactive):
+                for sgn in (1.0, -1.0):
+                    denom = sgn - cv[k]
+                    if abs(denom) < tiny:
+                        continue
+                    cand = cu[k] / denom
+                    if j == barred and cand > lam * (1.0 - 1e-9) - tiny:
+                        continue
+                    if tiny < cand <= lam + tiny and cand > lam_next:
+                        lam_next = min(cand, lam)
+                        event = ("add", j, sgn)
+        for pos, j in enumerate(active):
+            if abs(psi[pos]) < tiny:
+                continue
+            cand = phi[pos] / psi[pos]
+            if j == barred and cand > lam * (1.0 - 1e-9) - tiny:
+                continue
+            if tiny < cand <= lam + tiny and cand > lam_next:
+                lam_next = min(cand, lam)
+                event = ("drop", j, 0.0)
+
+        # residual-norm crossing ||u + l v|| = eps; the segment formulas are
+        # only valid down to the next event, so restrict roots to [lam_next, lam]
+        a2 = float(v @ v)
+        a1 = 2.0 * float(u @ v)
+        a0 = float(u @ u) - eps * eps
+        cross = None
+        if a2 > 0:
+            disc = a1 * a1 - 4.0 * a2 * a0
+            if disc >= 0:
+                roots = [(-a1 + np.sqrt(disc)) / (2 * a2), (-a1 - np.sqrt(disc)) / (2 * a2)]
+                valid = [r for r in roots if lam_next - tiny <= r <= lam + tiny]
+                if valid:
+                    cross = max(valid)
+        elif a0 <= 0:
+            cross = lam
+        if cross is not None:
+            cross = min(max(cross, lam_next), lam)
+            beta = np.zeros(m)
+            beta[active] = phi - cross * psi
+            # optimality certificate: no correlation may exceed the dual
+            # weight, and every nonzero coefficient's correlation must sit
+            # at the weight with matching sign. The slack is relative to the
+            # weight only: at a tiny eps the weight itself is tiny, and any
+            # absolute term would pass points that are merely feasible
+            corr = an.T @ (y - an @ beta)
+            slack = cross * 1e-6
+            if np.abs(corr).max() > cross + slack:
+                return None
+            nz = np.flatnonzero(beta)
+            if nz.size and np.abs(corr[nz] - cross * np.sign(beta[nz])).max() > slack:
+                return None
+            residual = float(np.linalg.norm(y - an @ beta))
+            return beta, residual, step
+
+        if event is None:
+            # no event and no crossing above: residual floor sits above eps
+            return None
+        barred = event[1]
+        lam = lam_next
+        if event[0] == "add":
+            active.append(event[1])
+            signs = np.append(signs, event[2])
+        else:
+            pos = active.index(event[1])
+            active.pop(pos)
+            signs = np.delete(signs, pos)
+            if not active:
+                return None
+    return None
+
+
+def _assert_lasso_kkt(an, y, eps, beta, residual):
+    """beta is a lasso point on the residual sphere ||y - an beta|| = eps.
+
+    The weight is the largest correlation; every nonzero coefficient's
+    correlation must sit at it with the coefficient's sign, within the
+    homotopy certificate's 1e-6 relative slack.
+    """
+    r = y - an @ beta
+    assert residual == pytest.approx(np.linalg.norm(r), rel=1e-12)
+    assert abs(residual - eps) <= 1e-9 * np.linalg.norm(y)
+    corr = an.T @ r
+    weight = np.abs(corr).max()
+    nz = np.flatnonzero(beta)
+    assert nz.size
+    assert np.abs(corr[nz] - weight * np.sign(beta[nz])).max() <= 1e-6 * weight
+
+
+@pytest.fixture
+def homotopy_calls(monkeypatch):
+    """(args, answer) of every _bpdn_homotopy call; the FISTA fallback must not run."""
+    calls = []
+    inner = recon._bpdn_homotopy
+
+    def spy(an, y, eps, max_steps):
+        calls.append(((an, y, eps, max_steps), inner(an, y, eps, max_steps)))
+        return calls[-1][1]
+
+    def no_fallback(*args):
+        raise AssertionError("the FISTA fallback ran")
+
+    monkeypatch.setattr(recon, "_bpdn_homotopy", spy)
+    monkeypatch.setattr(recon, "_bpdn_cd_bisect", no_fallback)
+    return calls
+
+
+class TestHomotopyTies:
+    """Lasso paths with tied events: an add at the weight of the event before
+    it, whose coefficient then moves against its sign. The reference walk
+    gives up on each, and FISTA used to answer in 0.4-0.7 s."""
+
+    # trials of run_benchmark's random k=7 cell at S=2, sigma=0.01 on the
+    # 9-bus model with seed=2 (cell seed 3861980557)
+    @pytest.mark.parametrize(
+        "buses, trial",
+        [((1, 3, 4, 5, 7, 8, 9), 13), ((1, 2, 4, 5, 7, 8, 9), 26), ((1, 2, 4, 5, 7, 8, 9), 48)],
+    )
+    def test_ieee9_trial(self, homotopy_calls, ieee9_network, ieee9_model, buses, trial):
+        spec = ScenarioSpec(
+            ieee9_network, ieee9_model, plan_for(buses), 2, noise_std=0.01, seed=3861980557,
+        )
+        result = run_trial(spec, "cs", trial)
+        assert (result.route, result.converged) == ("homotopy", True)
+        [(args, out)] = homotopy_calls
+        assert _reference_homotopy(*args) is None
+        _assert_lasso_kkt(*args[:3], *out[:2])
+
+    def test_ieee118_noisy_setting(self, homotopy_calls, ieee118_network, ieee118_model):
+        # the ieee118-noisy bench setting; the reference walk gives up on 14 of these 40
+        spec = ScenarioSpec(
+            ieee118_network, ieee118_model, greedy_place_sensors(ieee118_model, 90), 5,
+            noise_std=0.01, seed=3,
+        )
+        results = [run_trial(spec, "cs", t) for t in range(40)]
+        assert {(r.route, r.converged) for r in results} == {("homotopy", True)}
+        assert len(homotopy_calls) == 40
+
+
+class TestHomotopyOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(7, 9), (6, 12)]),
+        log_ratio=st.floats(-5.0, -0.05),
+    )
+    def test_matches_reference(self, seed, shape, log_ratio):
+        # eps = 10**log_ratio ||y|| > ftol: the homotopy's range
+        rng = np.random.default_rng(seed)
+        n, m = shape
+        a = rng.standard_normal((n, m))
+        an = a / np.linalg.norm(a, axis=0)
+        x = np.zeros(m)
+        k = int(rng.integers(1, n))
+        x[rng.choice(m, k, replace=False)] = rng.uniform(0.5, 1.5, k) * rng.choice([-1, 1], k)
+        y = an @ x + 0.01 * rng.standard_normal(n)
+        eps = 10.0**log_ratio * np.linalg.norm(y)
+        steps = 8 * (n + m) + 32
+        ref = _reference_homotopy(an, y, eps, steps)
+        if ref is None:
+            return
+        out = recon._bpdn_homotopy(an, y, eps, steps)
+        assert out is not None
+        _assert_lasso_kkt(an, y, eps, out[0], out[1])
+        l1_ref = np.abs(ref[0]).sum()
+        assert abs(np.abs(out[0]).sum() - l1_ref) <= 1e-12 * l1_ref
+
+
 class TestLazyHighsImport:
     def test_import_loads_no_scipy(self):
         # scipy.optimize is imported by the first eps=0 LP solve, not by the package
