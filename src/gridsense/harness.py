@@ -250,8 +250,8 @@ class _TrialContext:
             i_true[b - 1] = val
         y = add_noise(self.rows @ i_true, spec.noise_std, spec.seed, trial_index)[self.order]
         if self.cfg is not None:
-            estimate, est = self.system.bpdn(y, self.cfg)
-            route, converged = est.route, est.converged
+            est = self.system.bpdn(y, self.cfg)
+            estimate, route, converged = est.injections, est.route, est.converged
         else:
             estimate = self.system.min_energy(y)
             route, converged = "", True

@@ -73,7 +73,8 @@ class DcNetwork:
         return [d for d in self.devices if d.kind == kind]
 
 
-@dataclass(frozen=True)
+# eq=False: models compare and hash by identity, which keys recon's memo
+@dataclass(frozen=True, eq=False)
 class ImpedanceModel:
     conductance: np.ndarray
     impedance: np.ndarray

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -21,6 +22,9 @@ SUPPORT_THRESHOLD_REL = 1e-6
 
 # each thread's HiGHS solver and the bindings module, set by _highs_solver
 _HIGHS = threading.local()
+
+# how many MeasurementSystems estimate_state and apply_current_offsets keep
+_SYSTEMS_KEPT = 16
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -116,10 +120,11 @@ class SparseEstimate:
 
 
 def _support_of(x: np.ndarray) -> tuple[int, ...]:
-    peak = np.abs(x).max() if x.size else 0.0
+    mag = np.abs(x)
+    peak = mag.max() if x.size else 0.0
     if peak == 0.0:
         return ()
-    return tuple(int(i) + 1 for i in np.flatnonzero(np.abs(x) > SUPPORT_THRESHOLD_REL * peak))
+    return tuple((np.flatnonzero(mag > SUPPORT_THRESHOLD_REL * peak) + 1).tolist())
 
 
 def apply_current_offsets(y, model: ImpedanceModel, sensor_buses, known: dict[int, float]):
@@ -128,7 +133,27 @@ def apply_current_offsets(y, model: ImpedanceModel, sensor_buses, known: dict[in
     sensor_buses = tuple(sensor_buses)
     if y.shape != (len(sensor_buses),):
         raise ValidationError("y length must match the sensor bus list")
-    return y - MeasurementSystem(model, sensor_buses, known).offset
+    return y - _system(model, sensor_buses, known).offset
+
+
+def _system(model: ImpedanceModel, row_buses, known: dict[int, float]) -> "MeasurementSystem":
+    """The `MeasurementSystem` for these rows and known injections, built once.
+
+    Kept in a bounded memo keyed by the model's identity, the row buses in
+    order and the bits of the known currents, so a snapshot stream against
+    one plan sets up its matrices, BPDN problem and LP arrays once. The
+    systems are never written to after the build, so threads share them;
+    two threads missing at once may each build one, both identical.
+    """
+    buses = tuple(sorted(known))
+    currents = np.array([known[b] for b in buses], dtype=float)
+    return _memo_system(model, tuple(row_buses), buses, currents.tobytes())
+
+
+@functools.lru_cache(maxsize=_SYSTEMS_KEPT)
+def _memo_system(model, row_buses, known_buses, currents) -> "MeasurementSystem":
+    known = dict(zip(known_buses, np.frombuffer(currents).tolist()))
+    return MeasurementSystem(model, row_buses, known)
 
 
 class MeasurementSystem:
@@ -136,9 +161,10 @@ class MeasurementSystem:
 
     Built once from the model, the row buses in reading order and the known
     injections (bus -> current), with `assemble_measurement_matrix`, which
-    checks the bus ids. `bpdn` and `min_energy` subtract the known
-    injections' part of one reading vector, solve for the unknown buses and
-    return the injections at every bus, the known ones in place.
+    checks the bus ids. `rows` keeps the readings' rows over every bus.
+    `bpdn` and `min_energy` subtract the known injections' part of one
+    reading vector, solve for the unknown buses and return the injections
+    at every bus, the known ones in place.
     """
 
     def __init__(self, model: ImpedanceModel, row_buses, known: dict[int, float]):
@@ -147,6 +173,7 @@ class MeasurementSystem:
         currents = np.array([known[b] for b in known_buses], dtype=float)
         unknown = [b for b in range(1, m + 1) if b not in known]
         self.a = assemble_measurement_matrix(model, row_buses, unknown).rows
+        self.rows = model.impedance[np.array(row_buses) - 1]
         self.problem = BpdnProblem(self.a) if unknown else None
         self.unknown = np.array(unknown, dtype=int) - 1
         self.base = np.zeros(m)
@@ -160,20 +187,25 @@ class MeasurementSystem:
         full[self.unknown] = x
         return full
 
-    def bpdn(self, y, cfg: SolverConfig) -> tuple[np.ndarray, SparseEstimate]:
-        """(injections at every bus, the BPDN estimate over the unknown buses).
+    def bpdn(self, y, cfg: SolverConfig) -> SparseEstimate:
+        """The BPDN estimate over the unknown buses, scattered to every bus.
 
-        With every injection known nothing is solved: the estimate is empty,
-        converged, and has no route.
+        The support is over every bus, the residual norm is the solver's.
+        With every injection known nothing is solved: the estimate is the
+        known currents, converged, with no route.
         """
         y_off = y - self.offset
         if self.problem is None:
-            return self.base.copy(), SparseEstimate(
-                injections=np.zeros(0), support=(), residual_norm=float(np.linalg.norm(y_off)),
-                iterations_used=0, converged=True,
+            x, residual, iterations, converged, trace, route = (
+                np.zeros(0), float(np.linalg.norm(y_off)), 0, True, (), "",
             )
-        est = self.problem.solve(y_off, cfg)
-        return self._scatter(est.injections), est
+        else:
+            x, residual, iterations, converged, trace, route = self.problem._solve(y_off, cfg)
+        full = self._scatter(x)
+        return SparseEstimate(
+            injections=full, support=_support_of(full), residual_norm=residual,
+            iterations_used=iterations, converged=converged, objective_trace=trace, route=route,
+        )
 
     def min_energy(self, y) -> np.ndarray:
         """Minimum-norm injections at every bus."""
@@ -337,22 +369,19 @@ def _bpdn_homotopy(an, y, eps, max_steps):
     crossing point that fails the KKT certificate.
 
     Each step takes one SVD of the active columns A_S and reads both segment
-    solves from it, with lstsq's truncations: phi = pinv(A_S) y keeps the
-    singular values s > 1e-11 s_max (rcond=1e-11 on A_S), and psi =
-    pinv(A_S^T A_S) signs keeps s^2 > 1e-11 s_max^2 (rcond=1e-11 on the
-    Gram). The next event is the largest candidate weight at or below the
-    current one, clipped to it; of candidates above it the last one wins,
-    otherwise the first maximum. An active coefficient drops only when it
-    moves towards zero from its sign's side. Tied events (LARS section 3.1):
-    when the coefficient added last moves against its sign on its first
-    segment (signs[-1] * psi[-1] <= 0), it cannot join at this weight. It
-    is taken out and skipped, and the previous segment is searched again at
-    the same weight; the skipped set empties once the weight moves strictly
-    lower. The give-ups still seen on the bundled models are certificate
-    failures on plans with near-duplicate columns (buses 1...60 of the
-    118-bus model): psi's truncation drops a direction that phi keeps, the
-    path jumps, and an inactive correlation starts a segment above the
-    weight.
+    solves from it, on the same singular values s > 1e-11 s_max: phi =
+    pinv(A_S) y and psi = pinv(A_S^T A_S) signs. With a cut-off of its own,
+    psi could drop a direction that phi keeps; on plans with near-duplicate
+    columns (buses 1...60 of the 118-bus model) the path then jumps, and
+    the certificate fails. The next event is the largest candidate
+    weight at or below the current one, clipped to it; of candidates above
+    it the last one wins, otherwise the first maximum. An active
+    coefficient drops only when it moves towards zero from its sign's side.
+    Tied events (LARS section 3.1): when the coefficient added last moves
+    against its sign on its first segment (signs[-1] * psi[-1] <= 0), it
+    cannot join at this weight. It is taken out and skipped, and the
+    previous segment is searched again at the same weight; the skipped set
+    empties once the weight moves strictly lower.
     """
     m = an.shape[1]
     c0 = (an.T @ y).tolist()
@@ -378,15 +407,14 @@ def _bpdn_homotopy(an, y, eps, max_steps):
         # truncated least squares: coherent columns drive the active-set
         # systems towards singularity, and plain solves derail the path
         s = sv.tolist()
-        k_phi = sum(1 for x in s if x > 1e-11 * s[0])
-        k_psi = sum(1 for x in s if x * x > 1e-11 * s[0] * s[0])
-        psi = right[:k_psi].T @ ((right[:k_psi] @ signs) / (sv[:k_psi] * sv[:k_psi]))
+        k = sum(1 for x in s if x > 1e-11 * s[0])
+        psi = right[:k].T @ ((right[:k] @ signs) / (sv[:k] * sv[:k]))
         if added and signs[-1] * psi[-1] <= 0:
             skip.add(active.pop())
             signs.pop()
             barred, segment = kept
         else:
-            phi = right[:k_phi].T @ ((left[:, :k_phi].T @ y) / sv[:k_phi])
+            phi = right[:k].T @ ((left[:, :k].T @ y) / sv[:k])
             # on this segment beta(l) = phi - l*psi, residual r(l) = u + l*v;
             # kept: phi, psi, the correlations A^T u and A^T v, and the Gram of (u, v)
             uv = np.array((y - sub @ phi, sub @ psi))
@@ -496,15 +524,14 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     optimal vertex. If the LP finds no point within ftol, the least-squares
     point comes back at once, not converged ("fallback"). At epsilon > ftol,
     the lasso regularization path walked to where the residual norm meets
-    epsilon ("homotopy"), with one SVD of the active columns per step: the
-    least-squares part keeps singular values above 1e-11 s_max, the
-    direction part those whose square is above 1e-11 s_max^2. A tied add
-    whose coefficient would move against its sign is taken back and
-    skipped at that weight. Where the path gives up (no point within
-    epsilon, or an answer that fails its KKT certificate, which on the
-    bundled models is seen only on plans with near-duplicate columns, such
-    as buses 1...60 of the 118-bus model), bisection on the lasso weight
-    with a FISTA inner solver, slower but convergent ("fallback").
+    epsilon ("homotopy"), with one SVD of the active columns per step,
+    whose singular values above 1e-11 s_max serve both the least-squares
+    and the direction part. A tied add whose coefficient would move against
+    its sign is taken back and skipped at that weight. Where the path gives
+    up (no point within epsilon, or an answer that fails its KKT
+    certificate; no input of the bundled workloads does), bisection on the
+    lasso weight with a FISTA inner solver, slower but convergent
+    ("fallback").
     Columns of A are normalized to unit norm internally and the solution is
     rescaled back, so the l1 penalty weights buses comparably. The objective
     trace is non-increasing: each entry is the l1 value of the newest (best)
@@ -539,20 +566,24 @@ class BpdnProblem:
         self._lp_arrays = None
 
     def solve(self, y, cfg: SolverConfig) -> SparseEstimate:
-        y = np.asarray(y, dtype=float)
-        if not np.isfinite(y).all():
-            raise ValidationError("non-finite entries in solver input")
-        beta, residual, iterations, converged, trace, route = self._solve_normalized(y, cfg)
-        x = beta / self.col_norms
+        x, residual, iterations, converged, trace, route = self._solve(y, cfg)
         return SparseEstimate(
             injections=x,
             support=_support_of(x),
             residual_norm=residual,
             iterations_used=iterations,
             converged=converged,
-            objective_trace=tuple(trace),
+            objective_trace=trace,
             route=route,
         )
+
+    def _solve(self, y, cfg: SolverConfig):
+        """`solve`'s (x, residual, iterations, converged, trace, route), without the support."""
+        y = np.asarray(y, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValidationError("non-finite entries in solver input")
+        beta, residual, iterations, converged, trace, route = self._solve_normalized(y, cfg)
+        return beta / self.col_norms, residual, iterations, converged, tuple(trace), route
 
     def _solve_normalized(self, y, cfg: SolverConfig):
         """(beta, residual, iterations, converged, trace, route) on the normalized columns."""
@@ -789,7 +820,9 @@ def estimate_state(
     regulated sources; a `MeasurementSystem` on those rows offsets the known
     current injections and recovers the remaining sparse injections with
     BPDN; constant-power devices, when present, are refined with the Newton
-    iteration seeded by the BPDN estimate.
+    iteration seeded by the BPDN estimate. The system is built once per
+    model, rows and known injections and reused from a bounded memo, so
+    snapshots against one plan share its matrices and LP arrays.
     """
     expected = set(plan.chosen) | set(meas.voltage_source_buses)
     if set(meas.voltage_readings) != expected:
@@ -798,25 +831,21 @@ def estimate_state(
             f"source buses; expected {sorted(expected)}, got {sorted(meas.voltage_readings)}"
         )
     row_buses, y = _voltage_rows(meas, plan.chosen)
-    system = MeasurementSystem(model, row_buses, meas.known_injections)
-    full, est = system.bpdn(y, cfg)
+    system = _system(model, row_buses, meas.known_injections)
+    est = system.bpdn(y, cfg)
+    full, support = est.injections, est.support
     iterations, converged = est.iterations_used, est.converged
 
     if meas.power_constraints:
-        seed = SparseEstimate(
-            injections=full, support=_support_of(full), residual_norm=0.0,
-            iterations_used=iterations, converged=converged,
-        )
-        refined = constant_power_newton(model, meas, cfg, seed)
-        full = refined.injections
+        refined = constant_power_newton(model, meas, cfg, est)
+        full, support = refined.injections, refined.support
         iterations += refined.iterations_used
         converged = converged and refined.converged
 
-    z_sel = model.impedance[np.array(row_buses) - 1]
-    residual = float(np.linalg.norm(y - z_sel @ full))
+    residual = float(np.linalg.norm(y - system.rows @ full))
     return SparseEstimate(
         injections=full,
-        support=_support_of(full),
+        support=support,
         residual_norm=residual,
         iterations_used=iterations,
         converged=converged,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import shutil
 
@@ -227,6 +228,10 @@ class TestEstimateIeee118:
             "--plan", str(plan_path), "--snapshot", str(snap_path), "--out", str(target),
         )
         assert code == EXIT_OK
+        # the report's exact bytes, pinned: estimate_state's set-up must not move them
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "e54edece813ec588661a1103615b4a300e0bba8c17768443bb4188080456a5dc"
+        )
         payload = json.loads(target.read_text())
         assert (payload["route"], payload["converged"]) == ("lp", True)
         got = np.array([payload["injections"][str(b)] for b in range(1, 119)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -112,6 +113,22 @@ class TestApplyCurrentOffsets:
         currents = np.array([known[b] for b in sorted(known)])
         restored = y_off + model.impedance[np.array(sensors) - 1][:, cols] @ currents
         assert np.allclose(restored, y, atol=1e-12)
+
+
+class TestSupportOf:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 12))
+    def test_matches_the_loop(self, seed, m):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(m) * 10.0 ** rng.integers(-9, 2, m)
+        x[rng.random(m) < 0.3] = 0.0
+        peak = np.abs(x).max() if x.size else 0.0
+        want = () if peak == 0.0 else tuple(
+            int(i) + 1 for i in np.flatnonzero(np.abs(x) > recon.SUPPORT_THRESHOLD_REL * peak)
+        )
+        got = recon._support_of(x)
+        assert got == want
+        assert all(type(b) is int for b in got)
 
 
 class TestMinEnergy:
@@ -860,6 +877,23 @@ class TestHomotopyTies:
         assert {(r.route, r.converged) for r in results} == {("homotopy", True)}
         assert len(homotopy_calls) == 40
 
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-4, 1e-3])
+    def test_ieee118_buses_1_to_60_trial_26(
+        self, homotopy_calls, ieee118_network, ieee118_model, ratio
+    ):
+        # S=2, seed 1, noiseless. With psi truncated at 1e-11 on the Gram and
+        # phi at 1e-11 on the columns, one singular value between them was
+        # kept by phi only; the path jumped there, and the walk gave up in
+        # the certificate's bound check at all three radii
+        plan = greedy_place_sensors(ieee118_model, 60)
+        spec = ScenarioSpec(ieee118_network, ieee118_model, plan, 2, seed=1)
+        a = ieee118_model.impedance[np.array(sorted(plan.chosen)) - 1]
+        y = a @ sample_sparse_state(118, spec, 26)
+        est = solve_bpdn(a, y, SolverConfig(epsilon=ratio * np.linalg.norm(y)))
+        assert (est.route, est.converged) == ("homotopy", True)
+        [(args, out)] = homotopy_calls
+        _assert_lasso_kkt(*args[:3], *out[:2])
+
 
 class TestHomotopyOracle:
     @settings(max_examples=60, deadline=None)
@@ -1157,3 +1191,150 @@ class TestEstimateState:
         est = estimate_state(SCALAR_Z2, meas, plan, SolverConfig())
         assert est.injections[0] == pytest.approx(2.0, abs=1e-7)
         assert est.converged
+
+
+def _snapshot(model, plan, i_true, known=None, noise=0.0, rng=None):
+    """(MeasurementSet, SolverConfig) of plan's readings of i_true, known currents in place."""
+    i_true = i_true.copy()
+    for b, val in (known or {}).items():
+        i_true[b - 1] = val
+    y = model.impedance[np.array(plan.chosen) - 1] @ i_true
+    if noise:
+        y = y + noise * rng.standard_normal(y.size)
+    meas = MeasurementSet(voltage_readings=dict(zip(plan.chosen, y)), known_injections=known or {})
+    return meas, SolverConfig(epsilon=noise * np.sqrt(y.size))
+
+
+def _assert_same_estimate(got, want):
+    assert got.injections.tobytes() == want.injections.tobytes()
+    assert got.residual_norm.hex() == want.residual_norm.hex()
+    assert (got.support, got.iterations_used, got.converged, got.route) == (
+        want.support, want.iterations_used, want.converged, want.route
+    )
+
+
+class TestSystemMemo:
+    """estimate_state and apply_current_offsets reuse one MeasurementSystem per
+    model, row buses and known injections, from a bounded memo."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        recon._memo_system.cache_clear()
+        yield
+        recon._memo_system.cache_clear()
+
+    def test_one_build_for_fifty_snapshots(self, monkeypatch, ieee9_model):
+        systems, arrays = [], []
+        init, build = recon.MeasurementSystem.__init__, recon._bp_lp_arrays
+
+        def spy_init(self, *args):
+            systems.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(recon.MeasurementSystem, "__init__", spy_init)
+        monkeypatch.setattr(recon, "_bp_lp_arrays", lambda an: arrays.append(an) or build(an))
+        plan = greedy_place_sensors(ieee9_model, 7)
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            i_true = np.zeros(9)
+            i_true[rng.choice(9, 2, replace=False)] = rng.uniform(0.5, 1.5, 2)
+            meas, cfg = _snapshot(ieee9_model, plan, i_true, known={3: 0.25})
+            assert estimate_state(ieee9_model, meas, plan, cfg).route == "lp"
+        assert len(systems) == 1
+        assert len(arrays) == 1
+
+    @pytest.mark.parametrize(
+        "case, meters, snapshots", [("ieee9", 7, 24), ("ieee118", 60, 6)]
+    )
+    def test_bit_equal_to_a_fresh_system(self, request, case, meters, snapshots):
+        model = request.getfixturevalue(f"{case}_model")
+        m = model.size
+        plan = greedy_place_sensors(model, meters)
+        rng = np.random.default_rng(meters)
+        inputs = []
+        for k in range(snapshots):
+            i_true = np.zeros(m)
+            i_true[rng.choice(m, 2, replace=False)] = rng.uniform(0.5, 1.5, 2)
+            known = {int(rng.integers(1, m + 1)): 0.5 if k % 2 else -0.2}
+            inputs.append(_snapshot(model, plan, i_true, known, 0.01 * (k % 3 > 0), rng))
+        reused = [estimate_state(model, meas, plan, cfg) for meas, cfg in inputs]
+        assert {est.route for est in reused} == {"lp", "homotopy"}
+        for (meas, cfg), got in zip(inputs, reused):
+            recon._memo_system.cache_clear()
+            _assert_same_estimate(got, estimate_state(model, meas, plan, cfg))
+            _assert_same_estimate(got, _reference_estimate_state(model, meas, cfg))
+
+    def test_known_values_each_get_their_offset(self, ieee9_model):
+        sensors = (2, 5, 7, 9)
+        rows = ieee9_model.impedance[np.array(sensors) - 1]
+        y = rows @ np.linspace(0.1, 0.9, 9)
+        for value in (1.0, -2.5, 1.0, 0.0, 3.0):
+            got = apply_current_offsets(y, ieee9_model, sensors, {4: value, 8: 0.5})
+            assert np.array_equal(got, y - rows[:, [3, 7]] @ np.array([value, 0.5]))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero_known_current_kept(self, ieee9_model, zero):
+        # 0.0 and -0.0 compare equal; each snapshot gets its own bits back
+        plan = greedy_place_sensors(ieee9_model, 7)
+        i_true = np.zeros(9)
+        i_true[4] = 1.0
+        for value in (-zero, zero):
+            meas, cfg = _snapshot(ieee9_model, plan, i_true, known={3: value})
+            est = estimate_state(ieee9_model, meas, plan, cfg)
+            assert est.injections[2].hex() == value.hex()
+
+    def test_models_never_share_an_entry(self):
+        other = invert_to_impedance(np.array([[2.0, -1.0], [-1.0, 3.0]]))
+        twin = invert_to_impedance(np.array([[1.0, -1.0], [-1.0, 2.0]]))
+        y = np.array([1.0, 2.0])
+        for model in (TWO_BUS_Z, other, twin, TWO_BUS_Z):
+            got = apply_current_offsets(y, model, [1, 2], {2: 1.0})
+            assert np.array_equal(got, y - model.impedance[:, 1])
+        assert recon._memo_system.cache_info().currsize == 3
+        assert recon._system(TWO_BUS_Z, [1, 2], {}) is not recon._system(twin, [1, 2], {})
+
+    def test_bounded(self, ieee9_model):
+        assert recon._memo_system.cache_info().maxsize == recon._SYSTEMS_KEPT
+        plans = list(itertools.combinations(range(1, 10), 3))[: 3 * recon._SYSTEMS_KEPT]
+        for buses in plans:
+            apply_current_offsets(np.ones(3), ieee9_model, buses, {1: 0.5})
+            assert recon._memo_system.cache_info().currsize <= recon._SYSTEMS_KEPT
+        assert recon._memo_system.cache_info().currsize == recon._SYSTEMS_KEPT
+
+    def test_threads_get_the_serial_answers(self, ieee9_model):
+        # four plans, each snapshot stream on its own thread; every thread
+        # builds or looks up its system while the others solve
+        plans = [plan_for(b) for b in ((1, 2, 4, 5, 7, 8, 9), (2, 3, 5, 6, 8, 9), (1, 3, 4, 6, 7, 9),
+                                       (1, 2, 3, 4, 5, 6, 7, 8))]
+        rng = np.random.default_rng(12)
+        work = []
+        for plan in plans:
+            snaps = []
+            for k in range(20):
+                i_true = np.zeros(9)
+                i_true[rng.choice(9, 2, replace=False)] = rng.uniform(0.5, 1.5, 2)
+                snaps.append(_snapshot(ieee9_model, plan, i_true, {6: -0.3}, 0.01 * (k % 2), rng))
+            work.append((plan, snaps))
+        serial = [[estimate_state(ieee9_model, meas, plan, cfg) for meas, cfg in snaps]
+                  for plan, snaps in work]
+        recon._memo_system.cache_clear()
+        results = {}
+
+        def run(i):
+            plan, snaps = work[i]
+            results[i] = [estimate_state(ieee9_model, meas, plan, cfg) for meas, cfg in snaps]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, want in enumerate(serial):
+            for got, est in zip(results[i], want, strict=True):
+                _assert_same_estimate(got, est)
