@@ -37,10 +37,13 @@ class NewtonDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The BPDN radius epsilon; the limits and tolerances are class constants."""
+    """The BPDN radius epsilon; the tolerances and the Newton limit are class constants.
+
+    convergence_tol sets the BPDN solve's ftol = convergence_tol * max(1, ||y||);
+    newton_max_iter and newton_tol bound the constant-power refinement.
+    """
 
     epsilon: float = 0.0
-    max_iterations: ClassVar[int] = 4000
     convergence_tol: ClassVar[float] = 1e-7
     newton_max_iter: ClassVar[int] = 50
     newton_tol: ClassVar[float] = 1e-10
@@ -364,9 +367,10 @@ def _bpdn_homotopy(an, y, eps, max_steps):
     residual norm shrinks monotonically as the weight decreases; walking the
     path from the all-zero end and stopping where the residual crosses eps
     yields the constrained optimum directly. Returns (beta, residual, steps)
-    or None when the walk gives up and the caller falls back to FISTA: no
-    event and no crossing, an empty active set, max_steps used, or a
-    crossing point that fails the KKT certificate.
+    or None when the walk gives up, and the caller then returns the
+    least-squares point, not converged: no event and no crossing (no point
+    lies within eps), an empty active set, max_steps used, or a crossing
+    point that fails the KKT certificate.
 
     Each step takes one SVD of the active columns A_S and reads both segment
     solves from it, on the same singular values s > 1e-11 s_max: phi =
@@ -521,21 +525,20 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     equality-constrained LP ("lp"), solved by HiGHS's dual simplex through
     scipy's bundled bindings, without presolve, at 1e-9 primal and dual
     feasibility tolerances; where the l1 minimum is tied it returns one
-    optimal vertex. If the LP finds no point within ftol, the least-squares
-    point comes back at once, not converged ("fallback"). At epsilon > ftol,
-    the lasso regularization path walked to where the residual norm meets
-    epsilon ("homotopy"), with one SVD of the active columns per step,
-    whose singular values above 1e-11 s_max serve both the least-squares
-    and the direction part. A tied add whose coefficient would move against
-    its sign is taken back and skipped at that weight. Where the path gives
-    up (no point within epsilon, or an answer that fails its KKT
-    certificate; no input of the bundled workloads does), bisection on the
-    lasso weight with a FISTA inner solver, slower but convergent
-    ("fallback").
+    optimal vertex. At epsilon > ftol, the lasso regularization path walked
+    to where the residual norm meets epsilon ("homotopy"), with one SVD of
+    the active columns per step, whose singular values above 1e-11 s_max
+    serve both the least-squares and the direction part. A tied add whose
+    coefficient would move against its sign is taken back and skipped at
+    that weight. Both routes give up through one exit: where the LP finds
+    no point within ftol, or the path gives up (no point within epsilon, or
+    an answer that fails its KKT certificate), the least-squares point
+    comes back at once, not converged, with 0 iterations ("fallback"). So
+    route "fallback" holds exactly when converged is False.
     Columns of A are normalized to unit norm internally and the solution is
     rescaled back, so the l1 penalty weights buses comparably. The objective
-    trace is non-increasing: each entry is the l1 value of the newest (best)
-    feasible iterate.
+    trace holds one entry: the l1 value of the answer on the normalized
+    columns.
 
     This is `BpdnProblem(a).solve(y, cfg)`; to solve for many y against one
     A, set the problem up once, and the LP's arrays are built once.
@@ -582,11 +585,6 @@ class BpdnProblem:
         y = np.asarray(y, dtype=float)
         if not np.isfinite(y).all():
             raise ValidationError("non-finite entries in solver input")
-        beta, residual, iterations, converged, trace, route = self._solve_normalized(y, cfg)
-        return beta / self.col_norms, residual, iterations, converged, tuple(trace), route
-
-    def _solve_normalized(self, y, cfg: SolverConfig):
-        """(beta, residual, iterations, converged, trace, route) on the normalized columns."""
         an = self.an
         n, m = an.shape
         eps = cfg.epsilon
@@ -601,87 +599,21 @@ class BpdnProblem:
             # basis pursuit: below the solver's tolerance eps counts as zero
             if self._lp_arrays is None:
                 self._lp_arrays = _bp_lp_arrays(an)
-            lp = _solve_bp_lp(an, y, ftol, self._lp_arrays)
-            if lp is not None:
-                beta, residual, nit = lp
-                return beta, residual, nit, True, (float(np.abs(beta).sum()),), "lp"
-            best_x, sweeps = None, 0
+            found = _solve_bp_lp(an, y, ftol, self._lp_arrays)
+            route = "lp"
         else:
-            hom = _bpdn_homotopy(an, y, eps, max_steps=8 * (n + m) + 32)
-            if hom is not None:
-                beta, residual, steps = hom
-                return beta, residual, steps, True, (float(np.abs(beta).sum()),), "homotopy"
-            # FISTA bisection: convergent regardless of conditioning, and
-            # eps > ftol gives it a positive radius to close on
-            best_x, best_res, sweeps, trace, closed = _bpdn_cd_bisect(an, y, eps)
-        if best_x is None:
-            # no point within epsilon (within ftol for basis pursuit): the
-            # least-squares point, which is as close as any x gets
-            best_x = min_energy(an, y)
-            best_res = float(np.linalg.norm(y - an @ best_x))
-            trace = (float(np.abs(best_x).sum()),)
-            closed = False
-        return best_x, best_res, sweeps, closed, trace, "fallback"
-
-
-def _bpdn_cd_bisect(an, y, eps):
-    """BPDN by outer bisection on the lasso weight, inner proximal gradient.
-
-    The lasso residual norm grows monotonically with the penalty weight, so
-    the constrained optimum sits at the largest weight whose residual is
-    within eps; bisection brackets it while an accelerated proximal-gradient
-    iteration (warm-started across weights) solves each penalized
-    subproblem. Returns the iterate from the feasible side of the bracket.
-    `solve_bpdn` calls it only for eps > ftol, after the homotopy gave up;
-    basis pursuit (eps <= ftol) never comes here.
-    """
-    n, m = an.shape
-    lam_hi = float(np.abs(an.T @ y).max())
-    lam_lo = 0.0
-    step = 1.0 / np.linalg.norm(an, 2) ** 2
-    beta = np.zeros(m)
-    best = None
-    best_res = None
-    trace: list[float] = []
-    iterations = 0
-    closed = False
-    for _ in range(60):
-        lam = 0.5 * (lam_hi + lam_lo)
-        thr = step * lam
-        xk = beta.copy()
-        zk = beta.copy()
-        tk = 1.0
-        for _ in range(SolverConfig.max_iterations):
-            iterations += 1
-            grad = an.T @ (an @ zk - y)
-            xn = zk - step * grad
-            xn = np.sign(xn) * np.maximum(np.abs(xn) - thr, 0.0)
-            tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            zk = xn + ((tk - 1.0) / tn) * (xn - xk)
-            delta = float(np.abs(xn - xk).max())
-            xk = xn
-            tk = tn
-            if delta <= SolverConfig.convergence_tol * max(1.0, float(np.abs(xk).max())):
-                break
-        beta = xk
-        res = float(np.linalg.norm(y - an @ beta))
-        if res <= eps:
-            # feasible side: larger weights shrink the l1 value further, but
-            # inner inexactness can wobble, so keep the best iterate seen
-            lam_lo = lam
-            obj = float(np.abs(beta).sum())
-            if best is None or obj <= trace[-1]:
-                best = beta.copy()
-                best_res = res
-                trace.append(obj)
-            else:
-                trace.append(trace[-1])
-        else:
-            lam_hi = lam
-        if lam_hi - lam_lo <= 1e-12 * max(1.0, lam_hi):
-            closed = True
-            break
-    return best, best_res, iterations, trace, closed
+            found = _bpdn_homotopy(an, y, eps, max_steps=8 * (n + m) + 32)
+            route = "homotopy"
+        if found is None:
+            # no point within epsilon (within ftol for basis pursuit), or a
+            # walk that gave up: the least-squares point, which is as close
+            # as any x gets, not converged
+            beta = min_energy(an, y)
+            found = beta, float(np.linalg.norm(y - an @ beta)), 0
+            route = "fallback"
+        beta, residual, iterations = found
+        trace = (float(np.abs(beta).sum()),)
+        return beta / self.col_norms, residual, iterations, route != "fallback", trace, route
 
 
 def jacobian_power_rows(model: ImpedanceModel, currents, power_buses) -> np.ndarray:

@@ -169,6 +169,8 @@ def _candidate_buses(m: int, k: int, candidate_sensor_buses) -> tuple[int, ...]:
     for b in candidates:
         if not 1 <= b <= m:
             raise ValidationError(f"unknown bus id {b}")
+    if len(set(candidates)) != len(candidates):
+        raise ValidationError(f"duplicate candidate sensor buses in {candidates}")
     if not 1 <= k <= len(candidates):
         raise ValidationError(f"k={k} out of range 1..{len(candidates)}")
     return candidates
@@ -204,9 +206,7 @@ def greedy_place_sensors(
     zero_tol = _ZERO_COL_RTOL * max(1.0, float(np.abs(z).max()))
     zero_tol2 = zero_tol * zero_tol
 
-    remaining = sorted(set(candidates))
-    if len(remaining) != len(candidates):
-        raise ValidationError("duplicate candidate sensor buses")
+    remaining = sorted(candidates)
 
     chosen: list[int] = []
     trace: list[float] = []

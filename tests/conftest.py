@@ -10,9 +10,15 @@ from gridsense import (
     Bus,
     DcNetwork,
     InjectionDevice,
+    MeasurementSet,
+    ScenarioSpec,
+    add_noise,
     build_impedance_model,
     bundled_case_path,
+    greedy_place_sensors,
     load_network,
+    sample_sparse_state,
+    simulate_measurements,
 )
 
 TWO_BUS_CASE = """\
@@ -51,6 +57,38 @@ def ieee9_network():
 @pytest.fixture(scope="session")
 def ieee9_model(ieee9_network):
     return build_impedance_model(ieee9_network)
+
+
+# known current sources added to the 9-bus network: bus 2 injects, bus 8 draws
+IEEE9_CURRENT_SOURCES = {2: 0.6, 8: -0.4}
+
+
+@pytest.fixture(scope="session")
+def ieee9_current_source_spec(ieee9_network):
+    """The 9-bus network with IEEE9_CURRENT_SOURCES: greedy k=7, S=2, sigma=0.01, seed 23."""
+    net = DcNetwork(
+        ieee9_network.buses, ieee9_network.branches,
+        ieee9_network.devices + tuple(
+            InjectionDevice(b, "current_source", v) for b, v in IEEE9_CURRENT_SOURCES.items()
+        ),
+    )
+    model = build_impedance_model(net)
+    plan = greedy_place_sensors(model, 7)
+    return ScenarioSpec(net, model, plan, 2, noise_std=0.01, seed=23)
+
+
+def trial_snapshot(spec, trial: int) -> MeasurementSet:
+    """run_trial's noisy readings for this trial, with the network's current
+    sources as known injections."""
+    known = {d.bus: d.value for d in spec.network.devices if d.kind == "current_source"}
+    i_true = sample_sparse_state(spec.model.size, spec, trial)
+    for b, v in known.items():
+        i_true[b - 1] = v
+    y = simulate_measurements(spec.model, spec.placement, i_true)
+    y = add_noise(y, spec.noise_std, spec.seed, trial)
+    return MeasurementSet(
+        voltage_readings=dict(zip(spec.placement.chosen, y)), known_injections=known,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from gridsense import (
     PlacementPlan,
     SolverConfig,
     bundled_case_path,
+    default_epsilon,
     estimate_state,
 )
 from gridsense.cli import (
@@ -25,6 +26,8 @@ from gridsense.cli import (
     build_parser,
     run_cli,
 )
+
+from conftest import trial_snapshot
 
 IEEE9 = str(bundled_case_path("ieee9.case"))
 IEEE118 = str(bundled_case_path("ieee118.case"))
@@ -239,6 +242,32 @@ class TestEstimateIeee118:
             ieee118_model, MeasurementSet.from_text(snap_path.read_text()), plan, SolverConfig()
         )
         assert np.array_equal(got, want.injections)
+
+
+class TestEstimateNotConverged:
+    def test_least_squares_reported(self, capsys, tmp_path, ieee9_current_source_spec):
+        # trial 2 of the 9-bus current-source setting: no point lies within
+        # epsilon of its readings (tests/test_harness.py, TestLeastSquaresGiveUp).
+        # Current sources do not enter Z, so the bundled case serves; the
+        # snapshot carries them as known injections
+        spec = ieee9_current_source_spec
+        plan_path = write_plan(tmp_path / "plan.txt", spec.placement.chosen)
+        snap_path = tmp_path / "snap.meas"
+        snap_path.write_text(trial_snapshot(spec, 2).to_text())
+        eps = str(default_epsilon(spec.noise_std, len(spec.placement.chosen)))
+        argv = ["estimate", "--case", IEEE9, "--plan", str(plan_path),
+                "--snapshot", str(snap_path), "--epsilon", eps]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert "converged: no (0 iterations)" in out
+        assert "route: fallback" in out
+        target = tmp_path / "x.json"
+        code, _, _ = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_OK
+        payload = json.loads(target.read_text())
+        assert (payload["converged"], payload["route"], payload["iterations_used"]) == (
+            False, "fallback", 0,
+        )
 
 
 class TestBench:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from gridsense import (
     ValidationError,
     add_noise,
     apply_current_offsets,
+    assemble_measurement_matrix,
     build_impedance_model,
     default_epsilon,
     eligible_injection_buses,
@@ -31,6 +34,8 @@ from gridsense import recon
 from gridsense.harness import SUCCESS_THRESHOLD
 from gridsense.network import Branch, Bus, DcNetwork, InjectionDevice
 from gridsense.sensing import PlacementPlan
+
+from conftest import IEEE9_CURRENT_SOURCES, trial_snapshot
 
 TWO_BUS_Z = invert_to_impedance(np.array([[1.0, -1.0], [-1.0, 2.0]]))  # Z=[[2,1],[1,1]]
 
@@ -302,20 +307,12 @@ class TestRunTrialMatchesReference:
                                     _reference_run_trial(spec, estimator, t))
 
     @pytest.mark.parametrize("estimator", ["cs", "min_energy"])
-    def test_known_current_sources(self, ieee9_network, estimator):
+    def test_known_current_sources(self, ieee9_current_source_spec, estimator):
         # current sources are offset from the readings before the solve
-        net = DcNetwork(
-            ieee9_network.buses, ieee9_network.branches,
-            ieee9_network.devices + (
-                InjectionDevice(2, "current_source", 0.6),
-                InjectionDevice(8, "current_source", -0.4),
-            ),
-        )
-        model = build_impedance_model(net)
-        plan = greedy_place_sensors(model, 7)
         for noise_std in (0.0, 0.01):
-            spec = ScenarioSpec(net, model, plan, 2, noise_std=noise_std, seed=23)
-            # at noise 0.01, trial 2 of this seed falls back to FISTA
+            spec = dataclasses.replace(ieee9_current_source_spec, noise_std=noise_std)
+            # at noise 0.01, no point lies within epsilon of trial 2's
+            # readings: the least-squares point, not converged
             for t in range(4):
                 assert_trials_identical(run_trial(spec, estimator, t),
                                         _reference_run_trial(spec, estimator, t))
@@ -327,8 +324,8 @@ class TestRunTrialMatchesReference:
         spec = ScenarioSpec(
             ieee118_network, ieee118_model, plan, 2, noise_std=noise_std, seed=1,
         )
-        # at noise 0.01 trials 0-2 of this seed take the homotopy route; about
-        # half of the others fall back to FISTA, over a second per solve here
+        # at noise 0.01 every one of trials 0-39 of this seed takes the
+        # homotopy route; three keep the test short
         for t in range(3):
             assert_trials_identical(run_trial(spec, estimator, t),
                                     _reference_run_trial(spec, estimator, t))
@@ -358,6 +355,44 @@ class TestTrialRouteAndConvergence:
         result = run_trial(ieee9_spec(sparsity=1), "cs", 0)
         assert result.route == "fallback"
         assert result.converged is False
+
+
+class TestLeastSquaresGiveUp:
+    """Snapshots that no point fits within epsilon: the solve returns the
+    least-squares point at once, not converged, with route "fallback"."""
+
+    # the 7 unknown columns of ieee9_current_source_spec have rank 6, and
+    # the least-squares residuals of trials 2, 4 and 8 (0.0197, 0.0207 and
+    # 0.0140) exceed epsilon = 0.01323, so the homotopy finds no crossing
+    @pytest.mark.parametrize("trial", [2, 4, 8])
+    def test_known_current_sources(self, ieee9_current_source_spec, trial):
+        spec = ieee9_current_source_spec
+        model, plan = spec.model, spec.placement
+        result = run_trial(spec, "cs", trial)
+        assert (result.route, result.converged) == ("fallback", False)
+
+        meas = trial_snapshot(spec, trial)
+        eps = default_epsilon(spec.noise_std, len(plan.chosen))
+        est = estimate_state(model, meas, plan, SolverConfig(epsilon=eps))
+        assert (est.route, est.converged, est.iterations_used) == ("fallback", False, 0)
+
+        rows = sorted(plan.chosen)
+        known = sorted(IEEE9_CURRENT_SOURCES)
+        unknown = [b for b in range(1, 10) if b not in IEEE9_CURRENT_SOURCES]
+        currents = [IEEE9_CURRENT_SOURCES[b] for b in known]
+        y_off = np.array([meas.voltage_readings[b] for b in rows])
+        y_off -= assemble_measurement_matrix(model, rows, known).rows @ currents
+        a = assemble_measurement_matrix(model, rows, unknown).rows
+        norms = np.linalg.norm(a, axis=0)
+        an = a / norms
+        beta = np.linalg.lstsq(an, y_off, rcond=None)[0]
+        assert np.linalg.matrix_rank(a) == 6
+        assert np.linalg.norm(y_off - an @ beta) > eps
+        want = np.zeros(9)
+        want[np.array(known) - 1] = currents
+        want[np.array(unknown) - 1] = beta / norms
+        assert np.array_equal(est.injections, want)
+        assert np.array_equal(result.estimated_injections, want)
 
 
 class TestRunBenchmark:

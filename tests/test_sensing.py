@@ -314,6 +314,23 @@ class TestRandomPlacement:
             random_place_sensors(ieee9_model, 2, seed=0, candidate_sensor_buses=[bad, 3])
 
 
+class TestDuplicateCandidates:
+    """Both placers reject repeated candidate buses up front, whatever the seed."""
+
+    message = r"duplicate candidate sensor buses in \(1, 1, 1, 2\)"
+
+    def test_greedy(self, ieee9_model):
+        with pytest.raises(ValidationError, match=self.message):
+            greedy_place_sensors(ieee9_model, 2, candidate_sensor_buses=[1, 1, 1, 2])
+
+    # seeds 0, 4 and 5 draw two distinct buses and seeds 1-3 a repeated one;
+    # all six must raise
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random(self, ieee9_model, seed):
+        with pytest.raises(ValidationError, match=self.message):
+            random_place_sensors(ieee9_model, 2, seed=seed, candidate_sensor_buses=[1, 1, 1, 2])
+
+
 class TestRecoveryBound:
     def test_zero_coherence(self):
         report = gram_coherence(np.eye(3))
