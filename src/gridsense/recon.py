@@ -20,7 +20,8 @@ SNAPSHOT_SECTIONS = ("voltages", "known_injections", "power_constraints", "volta
 # entries below this fraction of the largest estimate are reported as zero
 SUPPORT_THRESHOLD_REL = 1e-6
 
-# each thread's HiGHS solver and the bindings module, set by _highs_solver
+# each thread's HiGHS solver, the bindings module and the LP arrays whose
+# model the solver holds, set by _highs_solver and _solve_bp_lp
 _HIGHS = threading.local()
 
 # how many MeasurementSystems estimate_state and apply_current_offsets keep
@@ -270,9 +271,9 @@ def _highs_solver():
     dual feasibility tolerances of 1e-9; that is linprog(method="highs")'s
     options for presolve=False and those two tolerances. Presolve would take
     most of a solve on these small dense LPs, and at the default 1e-7
-    tolerances its answers can miss ftol. Each solve passes its whole model
-    as arrays, and passModel clears the previous model, basis and solution,
-    so reuse changes no answer.
+    tolerances its answers can miss ftol. `_solve_bp_lp` keeps the last
+    model it solved loaded and changes only the row bounds while the same
+    problem comes back.
     """
     try:
         return _HIGHS.core, _HIGHS.solver
@@ -295,7 +296,7 @@ def _highs_solver():
     solver = _core._Highs()
     if solver.passOptions(options) == _core.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the basis-pursuit LP options")
-    _HIGHS.core, _HIGHS.solver = _core, solver
+    _HIGHS.core, _HIGHS.solver, _HIGHS.model = _core, solver, None
     return _core, solver
 
 
@@ -323,26 +324,39 @@ def _bp_lp_arrays(an):
 def _solve_bp_lp(an, y, ftol, arrays):
     """Equality-constrained basis pursuit as a linear program, solved by HiGHS.
 
-    `arrays` is `_bp_lp_arrays(an)`; they go to passModel as they are,
-    with y as both row bounds, so no object is written to per solve. HiGHS's
-    dual simplex is called directly, on this thread's solver, with the model
+    `arrays` is `_bp_lp_arrays(an)`, with y as both row bounds. HiGHS's dual
+    simplex is called directly, on this thread's solver, with the model
     linprog(method="highs") would build and the options it would pass for
     presolve=False and 1e-9 feasibility tolerances, so x and the iteration
-    count are linprog's under those options. Where the l1 minimum is tied,
-    x is one optimal vertex. Returns None when HiGHS reports an error
-    or a non-optimal model, or leaves a non-finite x or a residual above
-    tolerance, in which case the caller returns the least-squares point.
+    count are linprog's under those options. The solver keeps the model of
+    its last clean solve, known by the identity of its arrays (held, so the
+    identity cannot be reused): when the same arrays come back, only the row
+    bounds change, and clearSolver makes the solve start from the logical
+    basis, as a fresh model does, so no answer depends on earlier solves.
+    Other arrays go to passModel as they are, which replaces the model. Where
+    the l1 minimum is tied, x is one optimal vertex. Returns None when HiGHS
+    reports an error or a non-optimal model, or leaves a non-finite x or a
+    residual above tolerance, in which case the caller returns the
+    least-squares point and the next solve passes its model again.
     """
     core, solver = _highs_solver()
     n, m = an.shape
     cost, lower, upper, start, index, value, integrality = arrays
     error = core.HighsStatus.kError
-    if (
-        solver.passModel(
+    kept = _HIGHS.model is arrays
+    # forgotten until this solve ends at a clean optimum
+    _HIGHS.model = None
+    if kept:
+        loaded = all(solver.changeRowBounds(i, b, b) != error for i, b in enumerate(y.tolist()))
+        loaded = loaded and solver.clearSolver() != error
+    else:
+        loaded = solver.passModel(
             2 * m, n, value.size, int(core.MatrixFormat.kColwise),
             int(core.ObjSense.kMinimize), 0.0, cost, lower, upper, y, y, start, index, value,
             integrality,
-        ) == error
+        ) != error
+    if (
+        not loaded
         or solver.run() == error
         or solver.getModelStatus() != core.HighsModelStatus.kOptimal
     ):
@@ -356,6 +370,7 @@ def _solve_bp_lp(an, y, ftol, arrays):
     residual = float(np.linalg.norm(y - an @ x))
     if residual > ftol:
         return None
+    _HIGHS.model = arrays
     info = solver.getInfo()
     return x, residual, int(info.simplex_iteration_count or info.ipm_iteration_count)
 
@@ -541,7 +556,9 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     columns.
 
     This is `BpdnProblem(a).solve(y, cfg)`; to solve for many y against one
-    A, set the problem up once, and the LP's arrays are built once.
+    A, set the problem up once: the LP's arrays are built once, and while a
+    thread solves against one problem, its solver takes the model once and
+    only y after that.
     """
     return BpdnProblem(a).solve(y, cfg)
 
@@ -551,8 +568,10 @@ class BpdnProblem:
 
     The set-up validates A and normalizes its columns. The first
     basis-pursuit solve (epsilon <= ftol) builds the LP's arrays without
-    its right-hand side; each LP solve passes them with y to its thread's
-    one HiGHS solver. A solve writes to nothing the problem holds, so
+    its right-hand side. Each LP solve goes to its thread's one HiGHS
+    solver, which keeps the model of the problem it solved last: the same
+    problem again passes only y as the row bounds, another problem passes
+    its arrays with y. A solve writes to nothing the problem holds, so
     threads may solve against one problem at once (two first solves at
     once may both build the same arrays).
     """

@@ -5,18 +5,24 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gridsense
 from gridsense import (
     MeasurementSet,
     PlacementPlan,
     SolverConfig,
+    build_impedance_model,
     bundled_case_path,
     default_epsilon,
     estimate_state,
+    load_network,
 )
 from gridsense.cli import (
     EXIT_DATA,
@@ -207,41 +213,64 @@ class TestEstimate:
         assert out == ""
 
 
+def estimate_ieee118_greedy(workdir):
+    """Place 60 meters on the 118-bus model, write a snapshot and estimate it.
+
+    Buses 1...60 read two unknown injections and two known current sources.
+    Returns the exit codes of place and estimate and the plan, snapshot and
+    JSON report paths in workdir.
+    """
+    plan_path, snap_path, target = (workdir / n for n in ("plan.txt", "snap.meas", "est.json"))
+    placed = run_cli(["place", "--case", IEEE118, "--meters", "60", "--out", str(plan_path)])
+    plan = PlacementPlan.from_text(plan_path.read_text())
+    known = {10: 0.5, 101: -0.3}
+    i_true = np.zeros(118)
+    i_true[[70, 95]] = [1.25, -0.8]
+    for b, v in known.items():
+        i_true[b - 1] = v
+    model = build_impedance_model(load_network(IEEE118))
+    y = model.impedance[np.array(plan.chosen) - 1] @ i_true
+    meas = MeasurementSet(voltage_readings=dict(zip(plan.chosen, y)), known_injections=known)
+    snap_path.write_text(meas.to_text())
+    estimated = run_cli([
+        "estimate", "--case", IEEE118,
+        "--plan", str(plan_path), "--snapshot", str(snap_path), "--out", str(target),
+    ])
+    return placed, estimated, plan_path, snap_path, target
+
+
 class TestEstimateIeee118:
-    def test_greedy_plan_takes_the_lp(self, capsys, tmp_path, ieee118_model):
-        # buses 1...60, two unknown injections and two known current sources
-        plan_path = tmp_path / "plan.txt"
-        code, _, _ = run(
-            capsys, "place", "--case", IEEE118, "--meters", "60", "--out", str(plan_path),
-        )
-        assert code == EXIT_OK
-        plan = PlacementPlan.from_text(plan_path.read_text())
-        known = {10: 0.5, 101: -0.3}
-        i_true = np.zeros(118)
-        i_true[[70, 95]] = [1.25, -0.8]
-        for b, v in known.items():
-            i_true[b - 1] = v
-        y = ieee118_model.impedance[np.array(plan.chosen) - 1] @ i_true
-        meas = MeasurementSet(voltage_readings=dict(zip(plan.chosen, y)), known_injections=known)
-        snap_path = tmp_path / "snap.meas"
-        snap_path.write_text(meas.to_text())
-        target = tmp_path / "estimate.json"
-        code, _, _ = run(
-            capsys, "estimate", "--case", IEEE118,
-            "--plan", str(plan_path), "--snapshot", str(snap_path), "--out", str(target),
-        )
-        assert code == EXIT_OK
-        # the report's exact bytes, pinned: estimate_state's set-up must not move them
-        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
-            "e54edece813ec588661a1103615b4a300e0bba8c17768443bb4188080456a5dc"
-        )
+    def test_greedy_plan_takes_the_lp(self, tmp_path, ieee118_model):
+        placed, estimated, plan_path, snap_path, target = estimate_ieee118_greedy(tmp_path)
+        assert (placed, estimated) == (EXIT_OK, EXIT_OK)
         payload = json.loads(target.read_text())
         assert (payload["route"], payload["converged"]) == ("lp", True)
         got = np.array([payload["injections"][str(b)] for b in range(1, 119)])
+        plan = PlacementPlan.from_text(plan_path.read_text())
         want = estimate_state(
             ieee118_model, MeasurementSet.from_text(snap_path.read_text()), plan, SolverConfig()
         )
         assert np.array_equal(got, want.injections)
+
+    def test_report_bytes_pinned_at_one_blas_thread(self, tmp_path):
+        # the report's exact bytes, pinned: estimate_state's set-up must not
+        # move them. Z's last digits depend on the BLAS thread count, so the
+        # same steps run in an interpreter with one BLAS thread
+        tests = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(gridsense.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
+        code = (
+            "import pathlib, sys, test_cli; "
+            "sys.exit(test_cli.estimate_ieee118_greedy(pathlib.Path(sys.argv[1]))[:2] != (0, 0))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)], stdout=subprocess.DEVNULL, env=env,
+            check=True,
+        )
+        assert hashlib.sha256((tmp_path / "est.json").read_bytes()).hexdigest() == (
+            "e86d2424815532d44069c483725d5c8100c0424fa3fa17e03d5f8dfcaaf4bfc8"
+        )
 
 
 class TestEstimateNotConverged:

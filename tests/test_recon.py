@@ -505,6 +505,111 @@ class TestBpLpOracle:
         assert len({id(solver) for solver in solvers.values()}) == len(work)
 
 
+class _CountingSolver:
+    """A HiGHS solver's stand-in that counts passModel calls and forwards the rest."""
+
+    def __init__(self, inner):
+        self.inner, self.passes = inner, 0
+
+    def passModel(self, *args):
+        self.passes += 1
+        return self.inner.passModel(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.fixture
+def counted_solver(monkeypatch):
+    """This thread's HiGHS solver behind a `_CountingSolver`."""
+    proxy = _CountingSolver(recon._highs_solver()[1])
+    monkeypatch.setattr(recon._HIGHS, "solver", proxy)
+    return proxy
+
+
+def _sparse_rhs(a, count, seed, sparsity=2):
+    rng = np.random.default_rng(seed)
+    ys = []
+    for _ in range(count):
+        x = np.zeros(a.shape[1])
+        picked = rng.choice(a.shape[1], sparsity, replace=False)
+        x[picked] = rng.uniform(0.2, 1.5, sparsity) * rng.choice([-1.0, 1.0], sparsity)
+        ys.append(a @ x)
+    return ys
+
+
+class TestBpLpKeptModel:
+    """The thread's solver keeps the last problem's model and changes only
+    the row bounds; every answer equals a freshly passed model's and linprog's."""
+
+    @staticmethod
+    def assert_fresh_answers(calls):
+        for (an, y, ftol), got, _ in calls:
+            # new arrays: the thread's solver is passed a new model
+            want = recon._solve_bp_lp(an, y, ftol, recon._bp_lp_arrays(an))
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+
+    def test_one_problem_passes_its_model_once(self, lp_calls, counted_solver, ieee118_model):
+        plan = greedy_place_sensors(ieee118_model, 60)
+        a = ieee118_model.impedance[np.array(sorted(plan.chosen)) - 1]
+        problem = recon.BpdnProblem(a)
+        for y in _sparse_rhs(a, 50, seed=14):
+            assert problem.solve(y, SolverConfig(epsilon=0.0)).route == "lp"
+        assert counted_solver.passes == 1
+        stream = list(lp_calls)
+        self.assert_fresh_answers(stream)
+        TestBpLpOracle.assert_matches_linprog(stream)
+
+    def test_interleaved_problems(self, lp_calls, counted_solver):
+        rng = np.random.default_rng(21)
+        first, second = (recon.BpdnProblem(rng.standard_normal((5, 10))) for _ in range(2))
+        cfg = SolverConfig(epsilon=0.0)
+        for k, problem in enumerate((first, first, second, first)):
+            problem.solve(_sparse_rhs(problem.an, 1, seed=k)[0], cfg)
+        assert counted_solver.passes == 3
+        assert all(out is not None for _, out, _ in lp_calls)
+        TestBpLpOracle.assert_matches_linprog(lp_calls)
+
+    def test_infeasible_rhs_mid_stream(self, lp_calls, counted_solver):
+        # the all-zero last row cannot meet y[3] = 1: that solve falls back,
+        # and the next one passes the model again
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((4, 8))
+        a[3] = 0.0
+        ys = _sparse_rhs(a, 3, seed=23)
+        ys[1][3] = 1.0
+        problem = recon.BpdnProblem(a)
+        routes = [problem.solve(y, SolverConfig(epsilon=0.0)).route for y in ys]
+        assert routes == ["lp", "fallback", "lp"]
+        assert counted_solver.passes == 2
+        stream = list(lp_calls)
+        self.assert_fresh_answers(stream)
+        TestBpLpOracle.assert_matches_linprog(stream)
+
+    def test_run_error_passes_the_model_again(self, monkeypatch, lp_calls, counted_solver):
+        errors = []
+        inner_run = counted_solver.inner.run
+        monkeypatch.setattr(
+            counted_solver, "run", lambda: errors.pop() if errors else inner_run(), raising=False
+        )
+        a = np.random.default_rng(24).standard_normal((5, 10))
+        problem = recon.BpdnProblem(a)
+        cfg = SolverConfig(epsilon=0.0)
+        ys = _sparse_rhs(a, 3, seed=25)
+        assert problem.solve(ys[0], cfg).route == "lp"
+        errors.append(recon._highs_solver()[0].HighsStatus.kError)
+        assert problem.solve(ys[1], cfg).route == "fallback"
+        assert errors == []
+        assert problem.solve(ys[2], cfg).route == "lp"
+        assert counted_solver.passes == 2
+        after = lp_calls[2:]
+        self.assert_fresh_answers(after)
+        TestBpLpOracle.assert_matches_linprog(after)
+
+
 class TestBpLpArrays:
     """The LP's arrays: their layout, when they are built, and sharing them."""
 
