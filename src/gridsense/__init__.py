@@ -36,12 +36,11 @@ from .sensing import (
     GramReport,
     MeasurementMatrix,
     PlacementPlan,
-    RecoveryBoundReport,
     assemble_measurement_matrix,
     gram_coherence,
     greedy_place_sensors,
     random_place_sensors,
-    recovery_bound_report,
+    recovery_bound_factor,
 )
 from .harness import (
     BenchmarkReport,

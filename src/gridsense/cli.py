@@ -132,10 +132,10 @@ def _cmd_coherence(args) -> int:
         f"zero columns: {' '.join(str(b) for b in report.zero_columns) or 'none'}",
     ]
     for s in args.sparsity:
-        bound = sensing.recovery_bound_report(report, s, len(plan.chosen))
         lines.append(
-            f"advisory bound factor (S={s}): mu^2*S*ln(M) = {bound.bound_factor:.6g} "
-            f"with {bound.sensors_available} sensors for {bound.signal_dim} unknowns"
+            f"advisory bound factor (S={s}): mu^2*S*ln(M) = "
+            f"{sensing.recovery_bound_factor(report, s):.6g} "
+            f"with {len(plan.chosen)} sensors for {report.gram.shape[0]} unknowns"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -218,10 +218,8 @@ def _cmd_bench(args) -> int:
         _emit(report.to_json_text(), args.out)
     elif args.out and args.out.endswith(".csv"):
         _emit(report.to_csv_text(), args.out)
-    elif args.out:
-        _emit(report.to_table_text(), args.out)
     else:
-        _emit(report.to_table_text(), None)
+        _emit(report.to_table_text(), args.out)
     if args.out:
         plot_path = str(Path(args.out).with_suffix(Path(args.out).suffix + ".plot"))
         Path(plot_path).write_text(report.to_plot_text(), encoding="utf-8")
@@ -245,9 +243,7 @@ def run_cli(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
         return _COMMANDS[args.subcommand](args)
-    except (network.CaseParseError, network.ValidationError,
-            network.SingularModelError, recon.NewtonDivergenceError,
-            FileNotFoundError, ValueError) as exc:
+    except (recon.NewtonDivergenceError, OSError, ValueError) as exc:
         print(f"gridsense: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -16,10 +16,13 @@ from .recon import MeasurementSystem, SolverConfig
 from .recon import estimate_state, min_energy  # noqa: F401
 from .sensing import PlacementPlan, greedy_place_sensors, random_place_sensors
 
-SIGN_POLICIES = ("mixed", "sources", "loads")
 ESTIMATORS = ("cs", "min_energy")
 
 SUCCESS_THRESHOLD = 0.05  # max per-bus error relative to the largest true injection
+# each sampled injection's magnitude in p.u., drawn uniformly; its sign is +-1 at random
+INJECTION_RANGE = (0.5, 1.5)
+# a random-placement cell averages over this many placements, or one per trial if fewer
+RANDOM_PLACEMENTS = 100
 
 
 @dataclass(frozen=True)
@@ -28,9 +31,6 @@ class ScenarioSpec:
     model: ImpedanceModel
     placement: PlacementPlan
     sparsity: int
-    injection_low: float = 0.5
-    injection_high: float = 1.5
-    sign_policy: str = "mixed"
     noise_std: float = 0.0
     seed: int = 0
 
@@ -38,10 +38,6 @@ class ScenarioSpec:
         m = self.model.size
         if not 1 <= self.sparsity <= m:
             raise ValidationError(f"sparsity must be in 1..{m}")
-        if not self.injection_low < self.injection_high:
-            raise ValidationError("injection range must satisfy low < high")
-        if self.sign_policy not in SIGN_POLICIES:
-            raise ValidationError(f"sign_policy must be one of {SIGN_POLICIES}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValidationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
@@ -152,13 +148,8 @@ def _eligible_for(spec: ScenarioSpec) -> list[int]:
 def _draw_sparse_state(m, spec, eligible, trial_index) -> np.ndarray:
     rng = np.random.default_rng((spec.seed, trial_index, 0))
     support = rng.choice(len(eligible), size=spec.sparsity, replace=False)
-    magnitudes = rng.uniform(spec.injection_low, spec.injection_high, spec.sparsity)
-    if spec.sign_policy == "mixed":
-        signs = rng.choice([-1.0, 1.0], size=spec.sparsity)
-    elif spec.sign_policy == "sources":
-        signs = np.ones(spec.sparsity)
-    else:
-        signs = -np.ones(spec.sparsity)
+    magnitudes = rng.uniform(*INJECTION_RANGE, spec.sparsity)
+    signs = rng.choice([-1.0, 1.0], size=spec.sparsity)
     x = np.zeros(m)
     for idx, mag, sign in zip(support, magnitudes, signs):
         x[eligible[idx] - 1] = sign * mag
@@ -282,20 +273,17 @@ def run_benchmark(
     trials: int,
     seed: int,
     threads: int = 1,
-    random_placements: int = 100,
-    injection_range: tuple[float, float] = (0.5, 1.5),
-    sign_policy: str = "mixed",
     model_id: str = "",
     epsilon: float | None = None,
 ) -> BenchmarkReport:
     """Fill a benchmark grid; deterministic in (cells, trials, seed).
 
-    Each cell is a (sparsity, meters, placement, estimator, noise_std) tuple or
-    an equivalent mapping. Random-placement cells average over
-    `random_placements` placements (at most one per trial); trial t runs on
-    placement t * n_placements // trials, so every requested trial runs and
-    the placements share them as evenly as the counts allow. When
-    `epsilon` is given it overrides the noise-derived BPDN radius in every cell.
+    Each cell is a (sparsity, meters, placement, estimator, noise_std) tuple.
+    Random-placement cells average over `RANDOM_PLACEMENTS` placements (at
+    most one per trial); trial t runs on placement t * n_placements // trials,
+    so every requested trial runs and the placements share them as evenly as
+    the counts allow. When `epsilon` is given it overrides the noise-derived
+    BPDN radius in every cell.
     Trials run serially; `threads` is accepted for compatibility and ignored.
     """
     cfg = None if epsilon is None else SolverConfig(epsilon=epsilon)
@@ -304,7 +292,6 @@ def run_benchmark(
         raise ValidationError("benchmark grid is empty")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    low, high = injection_range
     results = []
     greedy_cache: dict[int, PlacementPlan] = {}
     for idx, (sparsity, meters, placement, estimator, noise_std) in enumerate(cells):
@@ -319,7 +306,7 @@ def run_benchmark(
         elif placement == "random":
             plans = [
                 random_place_sensors(model, meters, seed=_cell_seed(cseed, p + 1))
-                for p in range(min(random_placements, trials))
+                for p in range(min(RANDOM_PLACEMENTS, trials))
             ]
         else:
             raise ValidationError(f"unknown placement method {placement!r}")
@@ -331,7 +318,6 @@ def run_benchmark(
         for p, block in itertools.groupby(range(trials), lambda t: t * len(plans) // trials):
             spec = ScenarioSpec(
                 network=network, model=model, placement=plans[p], sparsity=sparsity,
-                injection_low=low, injection_high=high, sign_policy=sign_policy,
                 noise_std=noise_std, seed=cseed,
             )
             context = _TrialContext(spec, estimator, cfg)
@@ -354,11 +340,6 @@ def run_benchmark(
 
 
 def _normalize_cell(cell):
-    if isinstance(cell, dict):
-        cell = (
-            cell["sparsity"], cell["meters"], cell["placement"],
-            cell["estimator"], cell.get("noise_std", 0.0),
-        )
     sparsity, meters, placement, estimator, noise_std = cell
     if isinstance(placement, PlacementPlan):
         if int(meters) != len(placement.chosen):

@@ -6,7 +6,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -113,14 +113,17 @@ class MeasurementSet:
 @dataclass(frozen=True)
 class SparseEstimate:
     injections: np.ndarray
-    support: tuple[int, ...]
     residual_norm: float
     iterations_used: int
     converged: bool
-    objective_trace: tuple[float, ...] = ()
     # BPDN solver route: "zero", "lp", "homotopy" or "fallback"; "" when no
     # BPDN solve produced the estimate
     route: str = ""
+
+    @property
+    def support(self) -> tuple[int, ...]:
+        """1-based indices of the injections above SUPPORT_THRESHOLD_REL of the largest."""
+        return _support_of(self.injections)
 
 
 def _support_of(x: np.ndarray) -> tuple[int, ...]:
@@ -194,22 +197,18 @@ class MeasurementSystem:
     def bpdn(self, y, cfg: SolverConfig) -> SparseEstimate:
         """The BPDN estimate over the unknown buses, scattered to every bus.
 
-        The support is over every bus, the residual norm is the solver's.
-        With every injection known nothing is solved: the estimate is the
-        known currents, converged, with no route.
+        The residual norm is the solver's. With every injection known nothing
+        is solved: the estimate is the known currents, converged, with no
+        route; non-finite readings or known currents raise, as in a solve.
         """
         y_off = y - self.offset
-        if self.problem is None:
-            x, residual, iterations, converged, trace, route = (
-                np.zeros(0), float(np.linalg.norm(y_off)), 0, True, (), "",
-            )
+        if self.problem is not None:
+            est = self.problem.solve(y_off, cfg)
+        elif np.isfinite(y_off).all():
+            est = SparseEstimate(np.zeros(0), float(np.linalg.norm(y_off)), 0, True)
         else:
-            x, residual, iterations, converged, trace, route = self.problem._solve(y_off, cfg)
-        full = self._scatter(x)
-        return SparseEstimate(
-            injections=full, support=_support_of(full), residual_norm=residual,
-            iterations_used=iterations, converged=converged, objective_trace=trace, route=route,
-        )
+            raise ValidationError("non-finite entries in solver input")
+        return replace(est, injections=self._scatter(est.injections))
 
     def min_energy(self, y) -> np.ndarray:
         """Minimum-norm injections at every bus."""
@@ -256,7 +255,6 @@ def solve_l0_oracle(a, y, s_max: int, tol: float) -> SparseEstimate | None:
                 x[list(combo)] = x_s
                 return SparseEstimate(
                     injections=x,
-                    support=_support_of(x),
                     residual_norm=residual,
                     iterations_used=checked,
                     converged=True,
@@ -551,9 +549,7 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     comes back at once, not converged, with 0 iterations ("fallback"). So
     route "fallback" holds exactly when converged is False.
     Columns of A are normalized to unit norm internally and the solution is
-    rescaled back, so the l1 penalty weights buses comparably. The objective
-    trace holds one entry: the l1 value of the answer on the normalized
-    columns.
+    rescaled back, so the l1 penalty weights buses comparably.
 
     This is `BpdnProblem(a).solve(y, cfg)`; to solve for many y against one
     A, set the problem up once: the LP's arrays are built once, and while a
@@ -588,19 +584,7 @@ class BpdnProblem:
         self._lp_arrays = None
 
     def solve(self, y, cfg: SolverConfig) -> SparseEstimate:
-        x, residual, iterations, converged, trace, route = self._solve(y, cfg)
-        return SparseEstimate(
-            injections=x,
-            support=_support_of(x),
-            residual_norm=residual,
-            iterations_used=iterations,
-            converged=converged,
-            objective_trace=trace,
-            route=route,
-        )
-
-    def _solve(self, y, cfg: SolverConfig):
-        """`solve`'s (x, residual, iterations, converged, trace, route), without the support."""
+        """`solve_bpdn`'s estimate for the reading vector y."""
         y = np.asarray(y, dtype=float)
         if not np.isfinite(y).all():
             raise ValidationError("non-finite entries in solver input")
@@ -612,7 +596,7 @@ class BpdnProblem:
 
         if y_norm <= eps:
             # zero is feasible and l1-minimal
-            return np.zeros(m), y_norm, 0, True, (0.0,), "zero"
+            return SparseEstimate(np.zeros(m), y_norm, 0, True, "zero")
 
         if eps <= ftol:
             # basis pursuit: below the solver's tolerance eps counts as zero
@@ -631,8 +615,8 @@ class BpdnProblem:
             found = beta, float(np.linalg.norm(y - an @ beta)), 0
             route = "fallback"
         beta, residual, iterations = found
-        trace = (float(np.abs(beta).sum()),)
-        return beta / self.col_norms, residual, iterations, route != "fallback", trace, route
+        x = beta / self.col_norms
+        return SparseEstimate(x, residual, iterations, route != "fallback", route)
 
 
 def jacobian_power_rows(model: ImpedanceModel, currents, power_buses) -> np.ndarray:
@@ -701,7 +685,7 @@ def constant_power_newton(
             current[b - 1] = 1e-3
 
     unknown = sorted(
-        (set(b for b in initial.support) | set(power_buses)) - set(meas.known_injections)
+        (set(initial.support) | set(power_buses)) - set(meas.known_injections)
     )
     cols = np.array(unknown) - 1
     p_target = np.array([meas.power_constraints[b] for b in power_buses])
@@ -752,7 +736,6 @@ def constant_power_newton(
 def _newton_result(current, r, iterations, converged):
     return SparseEstimate(
         injections=current.copy(),
-        support=_support_of(current),
         residual_norm=float(np.linalg.norm(r)),
         iterations_used=iterations,
         converged=converged,
@@ -784,21 +767,11 @@ def estimate_state(
     row_buses, y = _voltage_rows(meas, plan.chosen)
     system = _system(model, row_buses, meas.known_injections)
     est = system.bpdn(y, cfg)
-    full, support = est.injections, est.support
-    iterations, converged = est.iterations_used, est.converged
-
     if meas.power_constraints:
         refined = constant_power_newton(model, meas, cfg, est)
-        full, support = refined.injections, refined.support
-        iterations += refined.iterations_used
-        converged = converged and refined.converged
-
-    residual = float(np.linalg.norm(y - system.rows @ full))
-    return SparseEstimate(
-        injections=full,
-        support=support,
-        residual_norm=residual,
-        iterations_used=iterations,
-        converged=converged,
-        route=est.route,
-    )
+        est = replace(
+            est, injections=refined.injections,
+            iterations_used=est.iterations_used + refined.iterations_used,
+            converged=est.converged and refined.converged,
+        )
+    return replace(est, residual_norm=float(np.linalg.norm(y - system.rows @ est.injections)))

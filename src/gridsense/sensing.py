@@ -26,19 +26,10 @@ class MeasurementMatrix:
     sensor_buses: tuple[int, ...]
     candidate_buses: tuple[int, ...]
 
-    @property
-    def n_sensors(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def n_candidates(self) -> int:
-        return self.rows.shape[1]
-
 
 @dataclass(frozen=True)
 class GramReport:
     gram: np.ndarray
-    max_offdiag: float
     mutual_coherence: float
     zero_columns: tuple[int, ...]
 
@@ -78,15 +69,6 @@ class PlacementPlan:
         except (KeyError, IndexError, ValueError) as exc:
             raise CaseParseError(f"malformed placement plan: {exc}") from None
         return cls(chosen=chosen, objective_trace=trace, final_coherence=final)
-
-
-@dataclass(frozen=True)
-class RecoveryBoundReport:
-    mu: float
-    sparsity: int
-    signal_dim: int
-    bound_factor: float
-    sensors_available: int
 
 
 def assemble_measurement_matrix(
@@ -138,10 +120,9 @@ def gram_coherence(a: MeasurementMatrix | np.ndarray) -> GramReport:
     normalized = rows / safe
     gram = normalized.T @ normalized
 
-    max_off = _max_offdiag(gram, nonzero)
     zero_cols = tuple(candidates[i] for i in np.flatnonzero(~nonzero))
     return GramReport(
-        gram=gram, max_offdiag=max_off, mutual_coherence=max_off, zero_columns=zero_cols
+        gram=gram, mutual_coherence=_max_offdiag(gram, nonzero), zero_columns=zero_cols
     )
 
 
@@ -274,19 +255,10 @@ def random_place_sensors(
     return PlacementPlan(chosen=chosen, objective_trace=(coh,), final_coherence=coh)
 
 
-def recovery_bound_report(
-    report: GramReport, sparsity: int, sensors_available: int
-) -> RecoveryBoundReport:
+def recovery_bound_factor(report: GramReport, sparsity: int) -> float:
     """Advisory mu^2 * S * ln(signal dimension) factor; the constant in front
     of the classical recovery bound is unknown, so no pass/fail verdict."""
     if sparsity < 1:
         raise ValidationError("sparsity must be >= 1")
-    signal_dim = report.gram.shape[0]
     mu = report.mutual_coherence
-    return RecoveryBoundReport(
-        mu=mu,
-        sparsity=sparsity,
-        signal_dim=signal_dim,
-        bound_factor=mu * mu * sparsity * math.log(signal_dim),
-        sensors_available=sensors_available,
-    )
+    return mu * mu * sparsity * math.log(report.gram.shape[0])

@@ -281,7 +281,7 @@ class TestConstantPowerScalarCase:
         model = invert_to_impedance(np.array([[0.5]]))  # Z = [2]
         meas = MeasurementSet(power_constraints={1: 8.0})
         initial = SparseEstimate(
-            injections=np.array([0.1]), support=(1,), residual_norm=0.0,
+            injections=np.array([0.1]), residual_norm=0.0,
             iterations_used=0, converged=True,
         )
         est = constant_power_newton(model, meas, SolverConfig(), initial)

@@ -64,6 +64,12 @@ class TestInspect:
         assert code == EXIT_DATA
         assert "error" in err
 
+    def test_directory_as_case(self, capsys, tmp_path):
+        code, out, err = run(capsys, "inspect", "--case", str(tmp_path))
+        assert code == EXIT_DATA
+        assert err.startswith("gridsense: error:")
+        assert out == ""
+
     def test_relative_case_path_named_like_header(self, capsys, tmp_path, monkeypatch):
         shutil.copy(IEEE9, tmp_path / "gridsense-ieee9.case")
         monkeypatch.chdir(tmp_path)
@@ -211,6 +217,84 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert message in err
         assert out == ""
+
+    def test_all_injections_known_nan_reading(self, capsys, tmp_path):
+        plan_path = write_plan(tmp_path / "plan.txt", (1, 2, 3))
+        snap_path = tmp_path / "snap.meas"
+        snap_path.write_text(
+            "gridsense-snapshot v1\n[voltages]\n1 nan\n2 0.1\n3 0.2\n[known_injections]\n"
+            + "".join(f"{b} 0.1\n" for b in range(1, 10))
+        )
+        code, out, err = run(
+            capsys, "estimate", "--case", IEEE9,
+            "--plan", str(plan_path), "--snapshot", str(snap_path),
+        )
+        assert code == EXIT_DATA
+        assert "non-finite entries in solver input" in err
+        assert out == ""
+
+
+class TestReportBytesIeee9:
+    # sha256 of each report. The 9-bus bytes are the same with one BLAS
+    # thread or more, so these run in-process, unlike the 118-bus pin below
+    PINNED = {
+        "plan.txt": "4d7da62b1bae6587c024196cfda019a8d25c66042590c94dd9b43cf48731c972",
+        "coherence.txt": "dbf82cb4ffccd14d0f6d4fc8db654c28b9e33124b088dafa88df87234e588098",
+        "estimate-lp.json": "6f4dc421108f70fd98c13ae848078a4bc536c405cd3fe292034973257dba1c9f",
+        "estimate-lp.txt": "8a57dc1052902eb4b829c405d35f1c8c520fee79b26a56199d56c7b47b79fbc1",
+        "estimate-homotopy.json": (
+            "0d59eb37f03af490b2c4b7cafd2091ad753b592f7b3d2123f1187d8502a407e8"
+        ),
+        "estimate-homotopy.txt": (
+            "b3d606f5a90a31b34be0975eee1ee17c5b441afe2cce7a2c84874b4babf5acb2"
+        ),
+        "bench.json": "a79497d1f0f14934aec672e5109f9fc31a5f2d0546e2e29c918d4e03f21e94e6",
+    }
+
+    def test_reports_pinned(self, tmp_path, ieee9_model):
+        digests = {}
+
+        def report(name, *argv):
+            target = tmp_path / name
+            assert run_cli([*argv, "--case", IEEE9, "--out", str(target)]) == EXIT_OK
+            digests[name] = hashlib.sha256(target.read_bytes()).hexdigest()
+
+        plan_path = str(tmp_path / "plan.txt")
+        report("plan.txt", "place", "--meters", "7")
+        report("coherence.txt", "coherence", "--plan", plan_path, "--sparsity", "1,2,3")
+        chosen = PlacementPlan.from_text((tmp_path / "plan.txt").read_text()).chosen
+        rows = ieee9_model.impedance[np.array(chosen) - 1]
+        i_lp = np.zeros(9)
+        i_lp[[3, 5]] = [-0.8, 1.25]
+        i_homotopy = np.zeros(9)
+        i_homotopy[[1, 5, 8]] = [0.5, 1.1, -0.7]
+        y_homotopy = rows @ i_homotopy + np.linspace(-4e-3, 4e-3, 7)
+        snapshots = {
+            # basis pursuit, exact readings
+            "lp": (MeasurementSet(voltage_readings=dict(zip(chosen, rows @ i_lp))), "0"),
+            # the path at epsilon 0.01, with bus 2's injection known
+            "homotopy": (
+                MeasurementSet(
+                    voltage_readings=dict(zip(chosen, y_homotopy)), known_injections={2: 0.5},
+                ),
+                "0.01",
+            ),
+        }
+        for key, (meas, eps) in snapshots.items():
+            snap_path = tmp_path / f"{key}.meas"
+            snap_path.write_text(meas.to_text())
+            for ext in ("json", "txt"):
+                report(
+                    f"estimate-{key}.{ext}", "estimate", "--plan", plan_path,
+                    "--snapshot", str(snap_path), "--epsilon", eps,
+                )
+        report(
+            "bench.json", "bench", "--meters", "7", "--sparsity", "1,2", "--estimator", "both",
+            "--placement", "greedy,random", "--noise", "0,0.01", "--trials", "20", "--seed", "5",
+        )
+        assert digests == self.PINNED
+        assert "support: 4 6\n" in (tmp_path / "estimate-lp.txt").read_text()
+        assert "support: 1 2 3 6 7 9\n" in (tmp_path / "estimate-homotopy.txt").read_text()
 
 
 def estimate_ieee118_greedy(workdir):

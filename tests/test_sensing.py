@@ -18,7 +18,7 @@ from gridsense import (
     greedy_place_sensors,
     invert_to_impedance,
     random_place_sensors,
-    recovery_bound_report,
+    recovery_bound_factor,
 )
 from gridsense import sensing
 from gridsense.network import ImpedanceModel
@@ -88,7 +88,7 @@ class TestAssembleMeasurementMatrix:
     def test_candidate_restriction(self):
         mat = assemble_measurement_matrix(TWO_BUS_Z, [2], candidate_buses=[2])
         assert np.allclose(mat.rows, [[1.0]])
-        assert mat.n_sensors == 1 and mat.n_candidates == 1
+        assert mat.rows.shape == (1, 1)
 
     def test_duplicate_sensor_error(self):
         with pytest.raises(ValidationError):
@@ -111,7 +111,6 @@ class TestGramCoherence:
     def test_identity_matrix(self):
         report = gram_coherence(np.eye(4))
         assert report.mutual_coherence == 0.0
-        assert report.max_offdiag == 0.0
         assert report.zero_columns == ()
 
     def test_identical_columns(self):
@@ -334,14 +333,12 @@ class TestDuplicateCandidates:
 class TestRecoveryBound:
     def test_zero_coherence(self):
         report = gram_coherence(np.eye(3))
-        assert recovery_bound_report(report, 2, 3).bound_factor == 0.0
+        assert recovery_bound_factor(report, 2) == 0.0
 
     def test_direct_formula(self):
         report = gram_coherence(np.array([[1.0, 1.0], [0.0, 1.0]]))
         # mu = 1/sqrt(2): mu^2 * S * ln(signal_dim) with S=2 mirrors 0.5*2*ln 2
-        out = recovery_bound_report(report, 2, 9)
-        assert out.bound_factor == pytest.approx(0.5 * 2 * math.log(2))
-        assert out.sensors_available == 9
+        assert recovery_bound_factor(report, 2) == pytest.approx(0.5 * 2 * math.log(2))
 
     def test_formula_mu_half(self):
         # 9 columns: e1..e8 orthonormal plus 0.5*e1 + sqrt(3)/2*e9, so mu = 0.5
@@ -351,19 +348,19 @@ class TestRecoveryBound:
         last[8, 0] = math.sqrt(3) / 2
         report = gram_coherence(np.hstack([a, last]))
         assert report.mutual_coherence == pytest.approx(0.5)
-        out = recovery_bound_report(report, 2, 9)
-        assert out.bound_factor == pytest.approx(0.25 * 2 * math.log(9))
-        assert out.bound_factor == pytest.approx(1.0986, abs=1e-3)
+        out = recovery_bound_factor(report, 2)
+        assert out == pytest.approx(0.25 * 2 * math.log(9))
+        assert out == pytest.approx(1.0986, abs=1e-3)
 
     def test_identical_columns_formula(self):
         a = np.ones((2, 100))
-        out = recovery_bound_report(gram_coherence(a), 3, 100)
-        assert out.bound_factor == pytest.approx(3 * math.log(100), rel=1e-12)
-        assert out.bound_factor == pytest.approx(13.8155, abs=1e-3)
+        out = recovery_bound_factor(gram_coherence(a), 3)
+        assert out == pytest.approx(3 * math.log(100), rel=1e-12)
+        assert out == pytest.approx(13.8155, abs=1e-3)
 
     def test_invalid_sparsity(self):
         with pytest.raises(ValidationError):
-            recovery_bound_report(gram_coherence(np.eye(2)), 0, 2)
+            recovery_bound_factor(gram_coherence(np.eye(2)), 0)
 
 
 class TestPlanSerialization:
