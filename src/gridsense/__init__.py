@@ -6,7 +6,6 @@ from .network import (
     Branch,
     Bus,
     CaseParseError,
-    ConditionReport,
     DcNetwork,
     ImpedanceModel,
     InjectionDevice,
@@ -14,7 +13,6 @@ from .network import (
     ValidationError,
     build_conductance_matrix,
     build_impedance_model,
-    condition_report,
     fold_constant_resistance_loads,
     invert_to_impedance,
     load_network,
@@ -30,11 +28,9 @@ from .recon import (
     jacobian_power_rows,
     min_energy,
     solve_bpdn,
-    solve_l0_oracle,
 )
 from .sensing import (
     GramReport,
-    MeasurementMatrix,
     PlacementPlan,
     assemble_measurement_matrix,
     gram_coherence,

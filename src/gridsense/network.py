@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,8 @@ DEVICE_KINDS = (
 
 CASE_HEADER = "gridsense-case v1"
 
-DEFAULT_CONDITION_CEILING = 1e8
+# largest condition estimate of G that invert_to_impedance accepts
+CONDITION_CEILING = 1e8
 
 
 class CaseParseError(ValueError):
@@ -84,15 +85,6 @@ class ImpedanceModel:
     @property
     def size(self) -> int:
         return self.impedance.shape[0]
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    condition_estimate: float
-    z_diag_min: float
-    z_diag_max: float
-    threshold: float
-    ill_conditioned: bool
 
 
 def _validate_network(net: DcNetwork) -> None:
@@ -269,7 +261,6 @@ def fold_constant_resistance_loads(
 def invert_to_impedance(
     g: np.ndarray,
     folded_loads: tuple[tuple[int, float], ...] = (),
-    condition_ceiling: float = DEFAULT_CONDITION_CEILING,
 ) -> ImpedanceModel:
     """Invert the conductance matrix to the bus impedance matrix Z = G^-1."""
     g = np.asarray(g, dtype=float)
@@ -279,10 +270,10 @@ def invert_to_impedance(
         raise ValidationError("conductance matrix must be symmetric")
 
     cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > condition_ceiling:
+    if not np.isfinite(cond) or cond > CONDITION_CEILING:
         raise SingularModelError(
             f"conductance matrix is singular or ill-conditioned "
-            f"(condition estimate {cond:.3e} exceeds ceiling {condition_ceiling:.1e}); "
+            f"(condition estimate {cond:.3e} exceeds ceiling {CONDITION_CEILING:.1e}); "
             f"the network may lack a shunt path to ground"
         )
     z = np.linalg.inv(g)
@@ -297,23 +288,8 @@ def invert_to_impedance(
     )
 
 
-def build_impedance_model(
-    net: DcNetwork, condition_ceiling: float = DEFAULT_CONDITION_CEILING
-) -> ImpedanceModel:
+def build_impedance_model(net: DcNetwork) -> ImpedanceModel:
     """Full pipeline: assemble G, fold loads, invert to Z."""
     g = build_conductance_matrix(net)
     g, folds = fold_constant_resistance_loads(g, net)
-    return invert_to_impedance(g, folds, condition_ceiling)
-
-
-def condition_report(
-    model: ImpedanceModel, threshold: float = DEFAULT_CONDITION_CEILING
-) -> ConditionReport:
-    diag = np.diag(model.impedance)
-    return ConditionReport(
-        condition_estimate=model.condition_estimate,
-        z_diag_min=float(diag.min()),
-        z_diag_max=float(diag.max()),
-        threshold=threshold,
-        ill_conditioned=model.condition_estimate > threshold,
-    )
+    return invert_to_impedance(g, folds)

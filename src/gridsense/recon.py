@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -179,14 +178,14 @@ class MeasurementSystem:
         known_buses = sorted(known)
         currents = np.array([known[b] for b in known_buses], dtype=float)
         unknown = [b for b in range(1, m + 1) if b not in known]
-        self.a = assemble_measurement_matrix(model, row_buses, unknown).rows
+        self.a = assemble_measurement_matrix(model, row_buses, unknown)
         self.rows = model.impedance[np.array(row_buses) - 1]
         self.problem = BpdnProblem(self.a) if unknown else None
         self.unknown = np.array(unknown, dtype=int) - 1
         self.base = np.zeros(m)
         self.offset = 0.0
         if known:
-            self.offset = assemble_measurement_matrix(model, row_buses, known_buses).rows @ currents
+            self.offset = assemble_measurement_matrix(model, row_buses, known_buses) @ currents
             self.base[np.array(known_buses) - 1] = currents
 
     def _scatter(self, x) -> np.ndarray:
@@ -223,43 +222,6 @@ def min_energy(a, y) -> np.ndarray:
         raise ValidationError("empty system matrix")
     x, *_ = np.linalg.lstsq(a, y, rcond=None)
     return x
-
-
-def solve_l0_oracle(a, y, s_max: int, tol: float) -> SparseEstimate | None:
-    """Exhaustive smallest-support solver; the ground-truth oracle for tests.
-
-    Enumerates supports by increasing size (lexicographic within a size) and
-    returns the first least-squares fit whose residual is within tol. Guarded
-    to desk-scale problems.
-    """
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, m = a.shape
-    if m > 25 or s_max > 4:
-        raise ValidationError(
-            f"l0 oracle limited to M <= 25 columns and S_max <= 4, got M={m}, S_max={s_max}"
-        )
-    checked = 0
-    for size in range(0, s_max + 1):
-        for combo in itertools.combinations(range(m), size):
-            checked += 1
-            if size == 0:
-                x_s = np.zeros(0)
-                residual = float(np.linalg.norm(y))
-            else:
-                sub = a[:, combo]
-                x_s, *_ = np.linalg.lstsq(sub, y, rcond=None)
-                residual = float(np.linalg.norm(sub @ x_s - y))
-            if residual <= tol:
-                x = np.zeros(m)
-                x[list(combo)] = x_s
-                return SparseEstimate(
-                    injections=x,
-                    residual_norm=residual,
-                    iterations_used=checked,
-                    converged=True,
-                )
-    return None
 
 
 def _highs_solver():
@@ -670,6 +632,9 @@ def constant_power_newton(
     for b in power_buses:
         if not 1 <= b <= m:
             raise ValidationError(f"power bus {b} not in model")
+    for b in meas.known_injections:
+        if not 1 <= b <= m:
+            raise ValidationError(f"known injection bus {b} not in model")
     row_buses, v_meas = _voltage_rows(meas, meas.voltage_readings)
     z_sel = z[np.array(row_buses) - 1] if row_buses else np.zeros((0, m))
 

@@ -10,6 +10,8 @@ import numpy as np
 from .network import CaseParseError, ImpedanceModel, ValidationError, read_sections
 
 PLAN_HEADER = "gridsense-plan v1"
+# each plan key and the type of its values
+_PLAN_KEYS = {"buses": int, "trace": float, "final_coherence": float}
 
 # columns with norm below this (relative to the largest matrix entry) are
 # treated as electrically invisible to the chosen sensors
@@ -18,13 +20,6 @@ _ZERO_COL_RTOL = 1e-12
 # column pairs of the current Gram on which greedy bounds each candidate's
 # objective from below; more pairs prune more but cost O(pairs) per candidate
 _BOUND_PAIRS = 64
-
-
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    rows: np.ndarray
-    sensor_buses: tuple[int, ...]
-    candidate_buses: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -51,32 +46,34 @@ class PlacementPlan:
 
     @classmethod
     def from_text(cls, text: str) -> "PlacementPlan":
-        fields: dict[str, list[str]] = {}
+        fields: dict[str, tuple] = {}
 
         def parse_line(_, tok):
             key, *vals = tok
-            if key not in ("buses", "trace", "final_coherence"):
+            if key not in _PLAN_KEYS:
                 raise ValueError(f"unknown plan key {key!r}")
             if key in fields:
                 raise ValueError(f"repeated plan key {key!r}")
-            fields[key] = vals
+            if key == "final_coherence" and len(vals) != 1:
+                raise ValueError("expected: final_coherence value")
+            fields[key] = tuple(_PLAN_KEYS[key](v) for v in vals)
 
         read_sections(text, PLAN_HEADER, (), parse_line)
-        try:
-            chosen = tuple(int(v) for v in fields["buses"])
-            trace = tuple(float(v) for v in fields.get("trace", []))
-            final = float(fields["final_coherence"][0])
-        except (KeyError, IndexError, ValueError) as exc:
-            raise CaseParseError(f"malformed placement plan: {exc}") from None
-        return cls(chosen=chosen, objective_trace=trace, final_coherence=final)
+        for key in ("buses", "final_coherence"):
+            if key not in fields:
+                raise CaseParseError(f"malformed placement plan: missing {key!r}")
+        return cls(
+            chosen=fields["buses"], objective_trace=fields.get("trace", ()),
+            final_coherence=fields["final_coherence"][0],
+        )
 
 
 def assemble_measurement_matrix(
     model: ImpedanceModel,
     sensor_buses,
     candidate_buses=None,
-) -> MeasurementMatrix:
-    """Select the voltage-sensor rows of Z over the candidate injection columns."""
+) -> np.ndarray:
+    """The voltage-sensor rows of Z over the candidate injection columns (every bus by default)."""
     m = model.size
     sensor_buses = tuple(sensor_buses)
     if candidate_buses is None:
@@ -90,23 +87,17 @@ def assemble_measurement_matrix(
     for b in sensor_buses + candidate_buses:
         if not 1 <= b <= m:
             raise ValidationError(f"unknown bus id {b}")
-    rows = model.impedance[np.array(sensor_buses) - 1][:, np.array(candidate_buses, dtype=int) - 1]
-    return MeasurementMatrix(rows=rows, sensor_buses=sensor_buses, candidate_buses=candidate_buses)
+    return model.impedance[np.array(sensor_buses) - 1][:, np.array(candidate_buses, dtype=int) - 1]
 
 
-def gram_coherence(a: MeasurementMatrix | np.ndarray) -> GramReport:
+def gram_coherence(a) -> GramReport:
     """Gram matrix of the column-normalized measurement matrix and its coherence.
 
     Coherence is the largest off-diagonal magnitude of the normalized Gram
     matrix; all-zero columns cannot be normalized, so they are excluded from
-    the maximum and reported separately.
+    the maximum and reported separately, by 1-based column position.
     """
-    if isinstance(a, MeasurementMatrix):
-        rows = a.rows
-        candidates = a.candidate_buses
-    else:
-        rows = np.asarray(a, dtype=float)
-        candidates = tuple(range(1, rows.shape[1] + 1))
+    rows = np.asarray(a, dtype=float)
     if rows.size == 0:
         raise ValidationError("empty measurement matrix")
 
@@ -120,7 +111,7 @@ def gram_coherence(a: MeasurementMatrix | np.ndarray) -> GramReport:
     normalized = rows / safe
     gram = normalized.T @ normalized
 
-    zero_cols = tuple(candidates[i] for i in np.flatnonzero(~nonzero))
+    zero_cols = tuple((np.flatnonzero(~nonzero) + 1).tolist())
     return GramReport(
         gram=gram, mutual_coherence=_max_offdiag(gram, nonzero), zero_columns=zero_cols
     )

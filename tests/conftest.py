@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from gridsense import (
     InjectionDevice,
     MeasurementSet,
     ScenarioSpec,
+    SparseEstimate,
+    ValidationError,
     add_noise,
     build_impedance_model,
     bundled_case_path,
@@ -99,3 +103,40 @@ def ieee118_network():
 @pytest.fixture(scope="session")
 def ieee118_model(ieee118_network):
     return build_impedance_model(ieee118_network)
+
+
+def solve_l0_oracle(a, y, s_max: int, tol: float) -> SparseEstimate | None:
+    """Exhaustive smallest-support solver; the ground-truth oracle for tests.
+
+    Enumerates supports by increasing size (lexicographic within a size) and
+    returns the first least-squares fit whose residual is within tol. Guarded
+    to desk-scale problems.
+    """
+    a = np.asarray(a, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, m = a.shape
+    if m > 25 or s_max > 4:
+        raise ValidationError(
+            f"l0 oracle limited to M <= 25 columns and S_max <= 4, got M={m}, S_max={s_max}"
+        )
+    checked = 0
+    for size in range(0, s_max + 1):
+        for combo in itertools.combinations(range(m), size):
+            checked += 1
+            if size == 0:
+                x_s = np.zeros(0)
+                residual = float(np.linalg.norm(y))
+            else:
+                sub = a[:, combo]
+                x_s, *_ = np.linalg.lstsq(sub, y, rcond=None)
+                residual = float(np.linalg.norm(sub @ x_s - y))
+            if residual <= tol:
+                x = np.zeros(m)
+                x[list(combo)] = x_s
+                return SparseEstimate(
+                    injections=x,
+                    residual_norm=residual,
+                    iterations_used=checked,
+                    converged=True,
+                )
+    return None

@@ -28,12 +28,11 @@ from gridsense import (
     random_place_sensors,
     run_benchmark,
     solve_bpdn,
-    solve_l0_oracle,
 )
 from gridsense.cli import run_cli
 from gridsense.recon import SparseEstimate
 
-from conftest import random_connected_network
+from conftest import random_connected_network, solve_l0_oracle
 
 
 # A 6x12 unit-column frame with mutual coherence 0.3162, precomputed offline by

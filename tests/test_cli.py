@@ -56,8 +56,29 @@ class TestInspect:
     def test_summary_output(self, capsys):
         code, out, _ = run(capsys, "inspect", "--case", IEEE9)
         assert code == EXIT_OK
-        assert "buses: 9" in out
-        assert "condition estimate:" in out
+        assert out == (
+            f"case: {IEEE9}\n"
+            "buses: 9\n"
+            "branches: 9\n"
+            "devices: constant_resistance_load=3\n"
+            "folded loads: 3\n"
+            "condition estimate: 166.324 (ceiling 1e+08)\n"
+            "Z diagonal range: [0.351901, 0.456873]\n"
+        )
+
+    # two buses joined by a 1.0 branch, bus 2 grounded through the shunt:
+    # the condition estimate of G is about 4 * shunt
+    @pytest.mark.parametrize(
+        "shunt, code, line",
+        [("1e6", EXIT_OK, "condition estimate: 4e+06 (ceiling 1e+08)\n"),
+         ("1e9", EXIT_DATA, "condition estimate 4.000e+09 exceeds ceiling 1.0e+08")],
+    )
+    def test_condition_ceiling(self, capsys, tmp_path, shunt, code, line):
+        case = tmp_path / "two.case"
+        case.write_text(f"gridsense-case v1\n[buses]\n1\n2 load {shunt}\n[branches]\n1 2 1.0\n")
+        got, out, err = run(capsys, "inspect", "--case", str(case))
+        assert got == code
+        assert line in (out if code == EXIT_OK else err)
 
     def test_missing_case_file(self, capsys):
         code, _, err = run(capsys, "inspect", "--case", "/nonexistent.case")

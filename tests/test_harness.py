@@ -367,8 +367,8 @@ class TestLeastSquaresGiveUp:
         unknown = [b for b in range(1, 10) if b not in IEEE9_CURRENT_SOURCES]
         currents = [IEEE9_CURRENT_SOURCES[b] for b in known]
         y_off = np.array([meas.voltage_readings[b] for b in rows])
-        y_off -= assemble_measurement_matrix(model, rows, known).rows @ currents
-        a = assemble_measurement_matrix(model, rows, unknown).rows
+        y_off -= assemble_measurement_matrix(model, rows, known) @ currents
+        a = assemble_measurement_matrix(model, rows, unknown)
         norms = np.linalg.norm(a, axis=0)
         an = a / norms
         beta = np.linalg.lstsq(an, y_off, rcond=None)[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 import shutil
 
 import numpy as np
@@ -21,11 +22,11 @@ from gridsense import (
     build_conductance_matrix,
     build_impedance_model,
     bundled_case_path,
-    condition_report,
     fold_constant_resistance_loads,
     invert_to_impedance,
     load_network,
 )
+from gridsense.network import CONDITION_CEILING
 
 from conftest import TWO_BUS_CASE, random_connected_network
 
@@ -186,27 +187,10 @@ class TestInvertToImpedance:
         assert model.condition_estimate == pytest.approx(1e6)
 
     def test_condition_ceiling_enforced(self):
-        with pytest.raises(SingularModelError):
-            invert_to_impedance(np.diag([1.0, 1e6]), condition_ceiling=1e5)
-
-
-class TestConditionReport:
-    def test_identity_clean(self):
-        report = condition_report(invert_to_impedance(np.eye(2)))
-        assert report.condition_estimate == pytest.approx(1.0)
-        assert not report.ill_conditioned
-
-    def test_threshold_flag(self):
-        model = invert_to_impedance(np.diag([1.0, 1e6]))
-        assert condition_report(model, threshold=1e5).ill_conditioned
-        assert not condition_report(model, threshold=1e7).ill_conditioned
-
-    def test_ieee118_finite(self, ieee118_model):
-        report = condition_report(ieee118_model)
-        assert np.isfinite(report.condition_estimate)
-        assert report.ill_conditioned == (report.condition_estimate > report.threshold)
-        assert report.z_diag_min > 0
-        assert report.z_diag_max >= report.z_diag_min
+        assert 1e9 > CONDITION_CEILING
+        message = re.escape(f"exceeds ceiling {CONDITION_CEILING:.1e}")
+        with pytest.raises(SingularModelError, match=message):
+            invert_to_impedance(np.diag([1.0, 1e9]))
 
 
 class TestModelInvariants:
@@ -215,6 +199,12 @@ class TestModelInvariants:
         model = request.getfixturevalue(fixture)
         resid = np.abs(model.impedance @ model.conductance - np.eye(model.size)).max()
         assert resid < 1e-8
+
+    def test_ieee118_conditioning(self, ieee118_model):
+        assert np.isfinite(ieee118_model.condition_estimate)
+        z_diag = np.diag(ieee118_model.impedance)
+        assert z_diag.min() > 0
+        assert z_diag.max() >= z_diag.min()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6))

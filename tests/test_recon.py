@@ -36,13 +36,12 @@ from gridsense import (
     run_trial,
     sample_sparse_state,
     solve_bpdn,
-    solve_l0_oracle,
 )
 import gridsense
 from gridsense import recon
 from gridsense.recon import SparseEstimate
 
-from conftest import random_connected_network
+from conftest import random_connected_network, solve_l0_oracle
 from gridsense import build_impedance_model
 
 TWO_BUS_Z = invert_to_impedance(np.array([[1.0, -1.0], [-1.0, 2.0]]))  # Z=[[2,1],[1,1]]
@@ -1095,6 +1094,19 @@ class TestConstantPowerNewton:
         )
         with pytest.raises(ValidationError):
             constant_power_newton(SCALAR_Z2, MeasurementSet(), SolverConfig(), initial)
+
+    # bus 0 would index the last bus and bus m + 1 past the end
+    @pytest.mark.parametrize("bus", [0, 3])
+    def test_unknown_known_injection_bus(self, bus):
+        meas = MeasurementSet(
+            voltage_readings={1: 3.0}, known_injections={bus: 0.5}, power_constraints={2: 1.0},
+        )
+        initial = SparseEstimate(
+            injections=np.array([1.0, 1.0]), residual_norm=0.0,
+            iterations_used=0, converged=True,
+        )
+        with pytest.raises(ValidationError, match=f"known injection bus {bus} not in model"):
+            constant_power_newton(TWO_BUS_Z, meas, SolverConfig(), initial)
 
 
 class TestMeasurementSet:
