@@ -262,7 +262,13 @@ def invert_to_impedance(
     g: np.ndarray,
     folded_loads: tuple[tuple[int, float], ...] = (),
 ) -> ImpedanceModel:
-    """Invert the conductance matrix to the bus impedance matrix Z = G^-1."""
+    """Invert the conductance matrix to the bus impedance matrix Z = G^-1.
+
+    Z comes from Gauss-Jordan elimination on G's diagonal pivots, which a
+    positive definite G needs no exchange for; a pivot <= 0 raises. Each
+    step is an elementwise rank-1 update with no BLAS reduction, so Z has
+    the same bits whatever the BLAS thread count.
+    """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValidationError("conductance matrix must be square")
@@ -276,7 +282,19 @@ def invert_to_impedance(
             f"(condition estimate {cond:.3e} exceeds ceiling {CONDITION_CEILING:.1e}); "
             f"the network may lack a shunt path to ground"
         )
-    z = np.linalg.inv(g)
+    z = g.copy()
+    for k in range(g.shape[0]):
+        pivot = z[k, k]
+        if not pivot > 0:
+            raise SingularModelError(
+                f"conductance matrix is not positive definite (pivot {pivot:.3e} at bus {k + 1})"
+            )
+        col = z[:, k].copy()
+        col[k] = 0.0
+        z[:, k] = 0.0
+        z[k, k] = 1.0
+        z[k] /= pivot
+        z -= np.multiply.outer(col, z[k])
     residual = np.abs(z @ g - np.eye(g.shape[0])).max()
     if residual >= 1e-8:
         raise SingularModelError(

@@ -49,9 +49,10 @@ class SolverConfig:
     newton_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not self.epsilon >= 0:
-            raise ValidationError(f"epsilon must be >= 0, got {self.epsilon}")
+        # written so that NaN fails too; an infinite radius would pass the
+        # all-zero estimate off as a converged answer
+        if not 0 <= self.epsilon < math.inf:
+            raise ValidationError(f"epsilon must be >= 0 and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -227,29 +228,28 @@ def min_energy(a, y) -> np.ndarray:
 def _highs_solver():
     """(HiGHS bindings, this thread's solver), made on the thread's first call.
 
-    The solver gets its options once: dual simplex, presolve off, primal and
-    dual feasibility tolerances of 1e-9; that is linprog(method="highs")'s
-    options for presolve=False and those two tolerances. Presolve would take
-    most of a solve on these small dense LPs, and at the default 1e-7
-    tolerances its answers can miss ftol. `_solve_bp_lp` keeps the last
-    model it solved loaded and changes only the row bounds while the same
-    problem comes back.
+    The solver gets its options once: the primal simplex, which takes a few
+    iterations on the basis-pursuit dual where the dual simplex takes dozens;
+    no scaling, with which a kept model's answer would depend on the y
+    solved before it; no presolve, which would take most of a solve on these
+    small dense LPs; 1e-9 primal and dual feasibility tolerances.
     """
     try:
         return _HIGHS.core, _HIGHS.solver
     except AttributeError:
         pass
     # private module: linprog's HiGHS without its per-call wrapper; TestBpLpOracle
-    # guards it against linprog given the same options. Imported here because
-    # scipy.optimize is most of the import time of gridsense, and only the
-    # basis-pursuit LP needs it
+    # checks its answers against linprog. Imported here because scipy.optimize
+    # is most of the import time of gridsense, and only the basis-pursuit LP
+    # needs it
     from scipy.optimize._highspy import _core
 
     options = _core.HighsOptions()
     options.presolve = "off"
     options.primal_feasibility_tolerance = 1e-9
     options.dual_feasibility_tolerance = 1e-9
-    options.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.simplex_strategy = int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
+    options.simplex_scale_strategy = 0
     options.highs_debug_level = int(_core.HighsDebugLevel.kHighsDebugLevelNone)
     options.output_flag = False
     options.log_to_console = False
@@ -261,59 +261,57 @@ def _highs_solver():
 
 
 def _bp_lp_arrays(an):
-    """Basis pursuit min 1.(p + q) s.t. A(p - q) = y, p, q >= 0, as HiGHS's arrays.
+    """The basis-pursuit dual max y.l s.t. -1 <= A^T l <= 1, as HiGHS's arrays.
 
-    (col_cost, col_lower, col_upper, a_start, a_index, a_value,
-    integrality): everything but the row bounds, which each solve passes as
-    y. The constraint matrix is the column-wise [A, -A] with exact zeros
-    dropped, like linprog's CSC copy; the integrality is all continuous,
-    since the bindings reject an empty array. No solve writes to the
-    arrays, so threads can share them.
+    (cols, col_lower, col_upper, row_lower, row_upper, a_start, a_index,
+    a_value, integrality): everything but the costs, which each solve passes
+    as -y for the column indices `cols`. The n columns l are free, and the m
+    rows, one per column of A, are boxed in [-1, 1]. The constraint matrix
+    is A^T passed column-wise, that is A's rows, with exact zeros dropped;
+    the integrality is all continuous, since the bindings reject an empty
+    array. No solve writes to the arrays, so threads can share them.
     """
-    m = an.shape[1]
-    nz = an.T != 0
-    index = np.nonzero(nz)[1].astype(np.int32)
-    value = an.T[nz]
-    start = np.concatenate(([0], np.cumsum(np.tile(nz.sum(axis=1), 2)))).astype(np.int32)
+    n, m = an.shape
+    nz = an != 0
+    start = np.concatenate(([0], np.cumsum(nz.sum(axis=1)))).astype(np.int32)
     return (
-        np.ones(2 * m), np.zeros(2 * m), np.full(2 * m, np.inf), start,
-        np.tile(index, 2), np.concatenate((value, -value)), np.zeros(2 * m, dtype=np.int32),
+        np.arange(n, dtype=np.int32), np.full(n, -np.inf), np.full(n, np.inf),
+        np.full(m, -1.0), np.ones(m), start, np.nonzero(nz)[1].astype(np.int32), an[nz],
+        np.zeros(n, dtype=np.int32),
     )
 
 
 def _solve_bp_lp(an, y, ftol, arrays):
-    """Equality-constrained basis pursuit as a linear program, solved by HiGHS.
+    """Equality-constrained basis pursuit, solved by HiGHS as its dual LP.
 
-    `arrays` is `_bp_lp_arrays(an)`, with y as both row bounds. HiGHS's dual
-    simplex is called directly, on this thread's solver, with the model
-    linprog(method="highs") would build and the options it would pass for
-    presolve=False and 1e-9 feasibility tolerances, so x and the iteration
-    count are linprog's under those options. The solver keeps the model of
-    its last clean solve, known by the identity of its arrays (held, so the
-    identity cannot be reused): when the same arrays come back, only the row
-    bounds change, and clearSolver makes the solve start from the logical
-    basis, as a fresh model does, so no answer depends on earlier solves.
-    Other arrays go to passModel as they are, which replaces the model. Where
-    the l1 minimum is tied, x is one optimal vertex. Returns None when HiGHS
-    reports an error or a non-optimal model, or leaves a non-finite x or a
-    residual above tolerance, in which case the caller returns the
-    least-squares point and the next solve passes its model again.
+    min ||x||_1 s.t. A x = y has the dual max y.l s.t. ||A^T l||_inf <= 1
+    (Chen, Donoho & Saunders 1998). `arrays` is `_bp_lp_arrays(an)`; the
+    solve minimizes -y.l on this thread's solver and reads x as minus the
+    row duals. The solver keeps the model of its last clean solve, known by
+    the identity of its arrays (held, so the identity cannot be reused):
+    when the same arrays come back, one call sets the costs, and clearSolver
+    makes the solve start from the logical basis, as a fresh model does, so
+    no answer depends on earlier solves. Other arrays go to passModel, which
+    replaces the model. Where the l1 minimum is tied, x is one optimal
+    vertex. Returns None when HiGHS reports an error or a non-optimal model
+    (an unbounded dual: y outside the range of A), or leaves a non-finite x
+    or a residual above tolerance; the caller then returns the least-squares
+    point, and the next solve passes its model again.
     """
     core, solver = _highs_solver()
     n, m = an.shape
-    cost, lower, upper, start, index, value, integrality = arrays
+    cols, col_lower, col_upper, row_lower, row_upper, start, index, value, integrality = arrays
     error = core.HighsStatus.kError
     kept = _HIGHS.model is arrays
     # forgotten until this solve ends at a clean optimum
     _HIGHS.model = None
     if kept:
-        loaded = all(solver.changeRowBounds(i, b, b) != error for i, b in enumerate(y.tolist()))
+        loaded = solver.changeColsCost(n, cols, -y) != error
         loaded = loaded and solver.clearSolver() != error
     else:
         loaded = solver.passModel(
-            2 * m, n, value.size, int(core.MatrixFormat.kColwise),
-            int(core.ObjSense.kMinimize), 0.0, cost, lower, upper, y, y, start, index, value,
-            integrality,
+            n, m, value.size, int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize), 0.0,
+            -y, col_lower, col_upper, row_lower, row_upper, start, index, value, integrality,
         ) != error
     if (
         not loaded
@@ -321,18 +319,16 @@ def _solve_bp_lp(an, y, ftol, arrays):
         or solver.getModelStatus() != core.HighsModelStatus.kOptimal
     ):
         return None
-    z = np.array(solver.getSolution().col_value)
-    if not np.isfinite(z).all():
+    x = -np.array(solver.getSolution().row_dual)
+    if not np.isfinite(x).all():
         return None
-    x = z[:m] - z[m:]
-    # clean complementary slack: keep the dominant sign contribution only
+    # clean complementary slack: drop multipliers at rounding level
     x[np.abs(x) < 1e-12 * max(1.0, np.abs(x).max())] = 0.0
     residual = float(np.linalg.norm(y - an @ x))
     if residual > ftol:
         return None
     _HIGHS.model = arrays
-    info = solver.getInfo()
-    return x, residual, int(info.simplex_iteration_count or info.ipm_iteration_count)
+    return x, residual, int(solver.getInfo().simplex_iteration_count)
 
 
 def _bpdn_homotopy(an, y, eps, max_steps):
@@ -496,14 +492,15 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
 
     epsilon is the only setting; ftol = convergence_tol * max(1, ||y||)
     picks the route, which the estimate's `route` names. Zero ("zero") when
-    ||y|| <= epsilon. At epsilon <= ftol, which counts as zero, the
-    equality-constrained LP ("lp"), solved by HiGHS's dual simplex through
-    scipy's bundled bindings, without presolve, at 1e-9 primal and dual
-    feasibility tolerances; where the l1 minimum is tied it returns one
-    optimal vertex. At epsilon > ftol, the lasso regularization path walked
-    to where the residual norm meets epsilon ("homotopy"), with one SVD of
-    the active columns per step, whose singular values above 1e-11 s_max
-    serve both the least-squares and the direction part. A tied add whose
+    ||y|| <= epsilon. At epsilon <= ftol, which counts as zero, basis
+    pursuit ("lp"), solved as its dual LP by HiGHS's primal simplex through
+    scipy's bundled bindings, without presolve or scaling, at 1e-9 primal
+    and dual feasibility tolerances; x is the dual's row multipliers, the
+    iterations are the primal simplex's, and where the l1 minimum is tied x
+    is one optimal vertex. At epsilon > ftol, the lasso regularization path
+    walked to where the residual norm meets epsilon ("homotopy"), with one
+    SVD of the active columns per step, whose singular values above 1e-11
+    s_max serve both the least-squares and the direction part. A tied add whose
     coefficient would move against its sign is taken back and skipped at
     that weight. Both routes give up through one exit: where the LP finds
     no point within ftol, or the path gives up (no point within epsilon, or
@@ -516,7 +513,7 @@ def solve_bpdn(a, y, cfg: SolverConfig) -> SparseEstimate:
     This is `BpdnProblem(a).solve(y, cfg)`; to solve for many y against one
     A, set the problem up once: the LP's arrays are built once, and while a
     thread solves against one problem, its solver takes the model once and
-    only y after that.
+    only the costs -y after that.
     """
     return BpdnProblem(a).solve(y, cfg)
 
@@ -525,11 +522,11 @@ class BpdnProblem:
     """`solve_bpdn` against one matrix A, set up once and solved for many y.
 
     The set-up validates A and normalizes its columns. The first
-    basis-pursuit solve (epsilon <= ftol) builds the LP's arrays without
-    its right-hand side. Each LP solve goes to its thread's one HiGHS
-    solver, which keeps the model of the problem it solved last: the same
-    problem again passes only y as the row bounds, another problem passes
-    its arrays with y. A solve writes to nothing the problem holds, so
+    basis-pursuit solve (epsilon <= ftol) builds the dual LP's arrays
+    without its costs. Each LP solve goes to its thread's one HiGHS solver,
+    which keeps the model of the problem it solved last: the same problem
+    again passes only -y as the costs, in one call, another problem passes
+    its arrays with -y. A solve writes to nothing the problem holds, so
     threads may solve against one problem at once (two first solves at
     once may both build the same arrays).
     """

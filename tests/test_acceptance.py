@@ -8,12 +8,17 @@ case, and CLI reproducibility across thread counts.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+import gridsense
 from gridsense import (
     MeasurementSet,
     SolverConfig,
@@ -307,3 +312,23 @@ class TestThreadReproducibility:
                 (tmp_path / f"report-{threads}.csv.plot").read_bytes(),
             )
         assert outputs["1"] == outputs["8"]
+
+    def test_ieee118_campaign_byte_identical_across_blas_threads(self, tmp_path):
+        # Z and the LP answers take no BLAS reduction, so the 118-bus reports
+        # have the same bytes with one or two OpenBLAS threads; the thread
+        # count is fixed when an interpreter starts, hence the subprocesses
+        src = os.path.dirname(os.path.dirname(gridsense.__file__))
+        runs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            target = tmp_path / f"r{threads}.json"
+            argv = [
+                sys.executable, "-m", "gridsense.cli", "bench",
+                "--case", str(bundled_case_path("ieee118.case")), "--meters", "30,60",
+                "--sparsity", "2,5", "--noise", "0,0.01", "--trials", "40", "--seed", "3",
+                "--estimator", "both", "--placement", "greedy,random", "--out", str(target),
+            ]
+            runs[target] = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        assert [proc.wait(timeout=300) for proc in runs.values()] == [0, 0]
+        assert len({hashlib.sha256(t.read_bytes()).hexdigest() for t in runs}) == 1

@@ -5,15 +5,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import shutil
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import gridsense
 from gridsense import (
     MeasurementSet,
     PlacementPlan,
@@ -219,6 +215,17 @@ class TestEstimate:
         assert "epsilon must be >= 0" in err
         assert out == ""
 
+    def test_infinite_epsilon(self, capsys, scenario):
+        # an infinite radius once printed the all-zero estimate as converged
+        plan_path, snap_path, _ = scenario
+        code, out, err = run(
+            capsys, "estimate", "--case", IEEE9,
+            "--plan", str(plan_path), "--snapshot", str(snap_path), "--epsilon", "inf",
+        )
+        assert code == EXIT_DATA
+        assert "epsilon must be >= 0 and finite, got inf" in err
+        assert out == ""
+
     @pytest.mark.parametrize(
         "buses, message",
         [((0, 3, 5), "unknown bus id 0"), ((3, 3, 5), "duplicate sensor buses in (3, 3, 5)")],
@@ -256,20 +263,20 @@ class TestEstimate:
 
 
 class TestReportBytesIeee9:
-    # sha256 of each report. The 9-bus bytes are the same with one BLAS
-    # thread or more, so these run in-process, unlike the 118-bus pin below
+    # sha256 of each report. Z and the LP answers have the same bits with
+    # one BLAS thread or more, so the reports do too
     PINNED = {
         "plan.txt": "4d7da62b1bae6587c024196cfda019a8d25c66042590c94dd9b43cf48731c972",
         "coherence.txt": "dbf82cb4ffccd14d0f6d4fc8db654c28b9e33124b088dafa88df87234e588098",
-        "estimate-lp.json": "6f4dc421108f70fd98c13ae848078a4bc536c405cd3fe292034973257dba1c9f",
-        "estimate-lp.txt": "8a57dc1052902eb4b829c405d35f1c8c520fee79b26a56199d56c7b47b79fbc1",
+        "estimate-lp.json": "0fc08fb32f81fc39bd5039f971edd4182cc16f5d775a17a74788a04e1933a8c4",
+        "estimate-lp.txt": "5e487403135a38eb8eb22d9304b505360f835c74acd8860b1091e9738d8dde67",
         "estimate-homotopy.json": (
-            "0d59eb37f03af490b2c4b7cafd2091ad753b592f7b3d2123f1187d8502a407e8"
+            "38ef5d3b1d912dc2c0e3265f5328e82b3cd7a60b4efa653a823cfdb1b6cf26cd"
         ),
         "estimate-homotopy.txt": (
             "b3d606f5a90a31b34be0975eee1ee17c5b441afe2cce7a2c84874b4babf5acb2"
         ),
-        "bench.json": "a79497d1f0f14934aec672e5109f9fc31a5f2d0546e2e29c918d4e03f21e94e6",
+        "bench.json": "31b064f1d4f184ab29bd2bebf4849696e31882d13c60422260460994c02f0b8c",
     }
 
     def test_reports_pinned(self, tmp_path, ieee9_model):
@@ -357,24 +364,12 @@ class TestEstimateIeee118:
         )
         assert np.array_equal(got, want.injections)
 
-    def test_report_bytes_pinned_at_one_blas_thread(self, tmp_path):
+    def test_report_bytes_pinned(self, tmp_path):
         # the report's exact bytes, pinned: estimate_state's set-up must not
-        # move them. Z's last digits depend on the BLAS thread count, so the
-        # same steps run in an interpreter with one BLAS thread
-        tests = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.dirname(os.path.dirname(gridsense.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
-        code = (
-            "import pathlib, sys, test_cli; "
-            "sys.exit(test_cli.estimate_ieee118_greedy(pathlib.Path(sys.argv[1]))[:2] != (0, 0))"
-        )
-        subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path)], stdout=subprocess.DEVNULL, env=env,
-            check=True,
-        )
+        # move them, and neither may the BLAS thread count
+        assert estimate_ieee118_greedy(tmp_path)[:2] == (EXIT_OK, EXIT_OK)
         assert hashlib.sha256((tmp_path / "est.json").read_bytes()).hexdigest() == (
-            "e86d2424815532d44069c483725d5c8100c0424fa3fa17e03d5f8dfcaaf4bfc8"
+            "e3a55fa99fddecfc047a789c56e10c68797901aafc387a0ec0d2188e0e50f8d1"
         )
 
 
@@ -507,6 +502,17 @@ class TestBench:
         )
         assert code == EXIT_DATA
         assert f"noise_std must be finite and >= 0, got {noise}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon(self, capsys, epsilon):
+        # an infinite radius once scored every cs cell on the all-zero estimate
+        code, out, err = run(
+            capsys, "bench", "--case", IEEE9, "--meters", "7", "--sparsity", "1",
+            "--epsilon", epsilon, "--trials", "3", "--seed", "1",
+        )
+        assert code == EXIT_DATA
+        assert f"epsilon must be >= 0 and finite, got {epsilon}" in err
         assert out == ""
 
     def test_random_cell_runs_every_trial(self, capsys, tmp_path):

@@ -178,6 +178,24 @@ class TestInvertToImpedance:
         with pytest.raises(SingularModelError):
             invert_to_impedance(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "g, message",
+        [
+            ([[0.0, 1.0], [1.0, 0.0]], "pivot 0.000e+00 at bus 1"),
+            ([[1.0, 2.0], [2.0, 1.0]], "pivot -3.000e+00 at bus 2"),
+        ],
+    )
+    def test_indefinite_rejected(self, g, message):
+        # well conditioned (cond 1 and 3) but not positive definite
+        with pytest.raises(SingularModelError, match=re.escape(message)):
+            invert_to_impedance(np.array(g))
+
+    @pytest.mark.parametrize("fixture", ["ieee9_model", "ieee118_model"])
+    def test_matches_lapack_inverse(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        z = np.linalg.inv(model.conductance)
+        assert np.abs(model.impedance - z).max() <= 1e-14 * np.abs(z).max()
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValidationError):
             invert_to_impedance(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -58,11 +58,20 @@ class TestSolverConfig:
         assert cfg.epsilon == 0.0
 
     @pytest.mark.parametrize(
-        "kwargs", [{"epsilon": -1.0}, pytest.param({"epsilon": float("nan")}, id="nan")]
+        "kwargs",
+        [
+            {"epsilon": -1.0},
+            pytest.param({"epsilon": float("nan")}, id="nan"),
+            # an infinite radius once returned the all-zero estimate as converged
+            pytest.param({"epsilon": float("inf")}, id="inf"),
+        ],
     )
     def test_invalid_fields(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="epsilon must be >= 0 and finite"):
             SolverConfig(**kwargs)
+
+    def test_largest_finite_epsilon(self):
+        assert SolverConfig(epsilon=sys.float_info.max).epsilon == sys.float_info.max
 
     def test_epsilon_is_the_only_field(self):
         assert [f.name for f in dataclasses.fields(SolverConfig)] == ["epsilon"]
@@ -226,11 +235,6 @@ class TestSolveBpdn:
         est = solve_bpdn(np.eye(2), [0.3, 0.4], SolverConfig(epsilon=0.6))
         assert est.route == "zero"
 
-    def test_route_zero_infinite_epsilon(self):
-        est = solve_bpdn(np.eye(2), [0.3, 0.4], SolverConfig(epsilon=np.inf))
-        assert est.route == "zero"
-        assert est.converged
-
     def test_route_lp(self):
         a = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         assert solve_bpdn(a, [2.0, 2.0], SolverConfig(epsilon=0.0)).route == "lp"
@@ -337,44 +341,35 @@ class TestBpdnFallback:
         assert np.array_equal(est.injections, [0.0])
 
 
-# the solver options _highs_solver sets, in linprog's terms
-_BP_LP_OPTIONS = {
-    "presolve": False,
-    "primal_feasibility_tolerance": 1e-9,
-    "dual_feasibility_tolerance": 1e-9,
-}
-
-
 def _reference_bp_lp(an, y, ftol):
-    """The eps=0 LP through scipy's linprog(method="highs"): oracle for _solve_bp_lp."""
+    """The l1 minimum of the eps=0 LP, through scipy's linprog(method="highs")
+    on the primal [A, -A]: oracle for _solve_bp_lp. None when linprog finds
+    no point or its point misses ftol."""
     m = an.shape[1]
     res = linprog(
         np.ones(2 * m), A_eq=np.hstack([an, -an]), b_eq=y, bounds=(0, None), method="highs",
-        options=_BP_LP_OPTIONS,
+        options={"presolve": False, "primal_feasibility_tolerance": 1e-9,
+                 "dual_feasibility_tolerance": 1e-9},
     )
-    if not res.success:
+    if not res.success or np.linalg.norm(y - an @ (res.x[:m] - res.x[m:])) > ftol:
         return None
-    x = res.x[:m] - res.x[m:]
-    x[np.abs(x) < 1e-12 * max(1.0, np.abs(x).max())] = 0.0
-    residual = float(np.linalg.norm(y - an @ x))
-    if residual > ftol:
-        return None
-    return x, residual, int(res.nit)
+    return float(res.fun)
 
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Each _solve_bp_lp call as ((an, y, ftol), answer, row duals), in call order.
+    """Each _solve_bp_lp call as ((an, y, ftol), answer, dual point), in call order.
 
-    The duals are read from the same thread's solver right after the solve.
+    The dual point is the LP's columns, read from the same thread's solver
+    right after the solve.
     """
     calls = []
     inner = recon._solve_bp_lp
 
     def spy(an, y, ftol, *rest):
         out = inner(an, y, ftol, *rest)
-        nu = np.array(recon._highs_solver()[1].getSolution().row_dual)
-        calls.append(((an, y, ftol), out, nu))
+        lam = np.array(recon._highs_solver()[1].getSolution().col_value)
+        calls.append(((an, y, ftol), out, lam))
         return out
 
     monkeypatch.setattr(recon, "_solve_bp_lp", spy)
@@ -382,16 +377,17 @@ def lp_calls(monkeypatch):
 
 
 class TestBpLpOracle:
-    """The direct HiGHS call returns linprog's x and iteration count, bit for bit."""
+    """The dual LP's x is optimal for linprog's primal: the same l1 norm, within ftol of y."""
 
     @staticmethod
     def assert_matches_linprog(calls):
-        for args, got, _ in calls:
-            want = _reference_bp_lp(*args)
+        for (an, y, ftol), got, _ in calls:
+            want = _reference_bp_lp(an, y, ftol)
             assert (got is None) == (want is None)
             if want is not None:
-                assert np.array_equal(got[0], want[0])
-                assert got[1:] == want[1:]
+                l1 = float(np.abs(got[0]).sum())
+                assert abs(l1 - want) <= 1e-9 * max(1.0, l1)
+                assert got[1] == np.linalg.norm(y - an @ got[0]) <= ftol
 
     @pytest.mark.parametrize(
         "a, y",
@@ -549,6 +545,29 @@ class TestBpLpKeptModel:
         self.assert_fresh_answers(stream)
         TestBpLpOracle.assert_matches_linprog(stream)
 
+    def test_two_problem_stream(self, lp_calls, counted_solver, ieee118_model):
+        # 200 solves on one thread, two 118-bus plans taking turns in runs of
+        # 1-6 solves. With HiGHS's scaling on, a kept model's answer depended
+        # on the y solved before it and missed the fresh model's on this stream
+        plans = (
+            greedy_place_sensors(ieee118_model, 60).chosen,
+            random_place_sensors(ieee118_model, 60, seed=4).chosen,
+        )
+        rows = [ieee118_model.impedance[np.array(sorted(p)) - 1] for p in plans]
+        problems = [recon.BpdnProblem(a) for a in rows]
+        pending = [iter(_sparse_rhs(a, 200, seed=30 + k)) for k, a in enumerate(rows)]
+        rng = np.random.default_rng(31)
+        turn, runs, solved = 0, 0, 0
+        while solved < 200:
+            length = min(int(rng.integers(1, 7)), 200 - solved)
+            for _ in range(length):
+                est = problems[turn].solve(next(pending[turn]), SolverConfig(epsilon=0.0))
+                assert est.route == "lp"
+            turn, runs, solved = 1 - turn, runs + 1, solved + length
+        assert counted_solver.passes == runs
+        assert len(lp_calls) == 200
+        self.assert_fresh_answers(list(lp_calls))
+
     def test_interleaved_problems(self, lp_calls, counted_solver):
         rng = np.random.default_rng(21)
         first, second = (recon.BpdnProblem(rng.standard_normal((5, 10))) for _ in range(2))
@@ -601,17 +620,24 @@ class TestBpLpArrays:
 
     @staticmethod
     def assert_layout(problem):
-        cost, lower, upper, start, index, value, integrality = problem._lp_arrays
-        want = scipy.sparse.csc_array(np.hstack([problem.an, -problem.an]))
-        m = problem.an.shape[1]
-        assert start.dtype == index.dtype == integrality.dtype == np.int32
+        # n free columns (one per reading), m rows in [-1, 1] (one per bus),
+        # A^T column-wise without exact zeros
+        cols, col_lower, col_upper, row_lower, row_upper, start, index, value, integrality = (
+            problem._lp_arrays
+        )
+        want = scipy.sparse.csc_array(problem.an.T)
+        n, m = problem.an.shape
+        assert cols.dtype == start.dtype == index.dtype == integrality.dtype == np.int32
+        assert np.array_equal(cols, np.arange(n))
         assert np.array_equal(start, want.indptr)
         assert np.array_equal(index, want.indices)
         assert np.array_equal(value, want.data)
-        assert np.array_equal(cost, np.ones(2 * m))
-        assert np.array_equal(lower, np.zeros(2 * m))
-        assert np.array_equal(upper, np.full(2 * m, np.inf))
-        assert np.array_equal(integrality, np.zeros(2 * m))
+        assert not (value == 0).any()
+        assert np.array_equal(col_lower, np.full(n, -np.inf))
+        assert np.array_equal(col_upper, np.full(n, np.inf))
+        assert np.array_equal(row_lower, np.full(m, -1.0))
+        assert np.array_equal(row_upper, np.ones(m))
+        assert np.array_equal(integrality, np.zeros(n))
 
     @pytest.mark.parametrize(
         "a, y",
@@ -692,17 +718,22 @@ class TestBpLpArrays:
 
 
 class TestBpLpDualCertificate:
-    """Every LP answer is optimal: its row duals nu are dual feasible,
-    ||an^T nu||_inf <= 1, and close the gap, y.nu = ||x||_1. Independent of linprog."""
+    """Every LP answer is optimal: its dual point lam is feasible,
+    ||an^T lam||_inf <= 1, closes the gap, y.lam = ||x||_1, and is
+    complementary, an_j.lam = sign(x_j) wherever x_j != 0. Independent of linprog."""
 
     @staticmethod
     def assert_certified(calls):
         assert calls
-        for (an, y, _), out, nu in calls:
+        for (an, y, _), out, lam in calls:
             assert out is not None
-            l1 = float(np.abs(out[0]).sum())
-            assert np.abs(an.T @ nu).max() <= 1 + 1e-9
-            assert abs(l1 - float(y @ nu)) <= 1e-9 * l1
+            x = out[0]
+            l1 = float(np.abs(x).sum())
+            corr = an.T @ lam
+            assert np.abs(corr).max() <= 1 + 1e-9
+            assert abs(l1 - float(y @ lam)) <= 1e-9 * l1
+            nz = x != 0
+            assert np.abs(corr[nz] - np.sign(x[nz])).max() <= 1e-9
 
     @staticmethod
     def run_plans(network, model, plan, trials):
