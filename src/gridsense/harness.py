@@ -312,15 +312,21 @@ def run_benchmark(
             raise ValidationError(f"unknown placement method {placement!r}")
 
         # trial t runs on plan t * n_plans // trials: consecutive blocks of
-        # trials // n_plans or one more, covering every requested trial. A
-        # plan's context lives for its block only
+        # trials // n_plans or one more, covering every requested trial.
+        # Random plans repeat (their buses are sorted), so a distinct plan's
+        # context serves all its blocks, and is dropped after its last one
+        last_block = {plan: p for p, plan in enumerate(plans)}
+        contexts: dict[PlacementPlan, _TrialContext] = {}
         trial_results = []
         for p, block in itertools.groupby(range(trials), lambda t: t * len(plans) // trials):
-            spec = ScenarioSpec(
-                network=network, model=model, placement=plans[p], sparsity=sparsity,
-                noise_std=noise_std, seed=cseed,
-            )
-            context = _TrialContext(spec, estimator, cfg)
+            plan = plans[p]
+            if plan not in contexts:
+                spec = ScenarioSpec(
+                    network=network, model=model, placement=plan, sparsity=sparsity,
+                    noise_std=noise_std, seed=cseed,
+                )
+                contexts[plan] = _TrialContext(spec, estimator, cfg)
+            context = contexts.pop(plan) if last_block[plan] == p else contexts[plan]
             trial_results += [context.run(t) for t in block]
 
         n = len(trial_results)

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
@@ -22,6 +26,9 @@ SUPPORT_THRESHOLD_REL = 1e-6
 # each thread's HiGHS solver, the bindings module and the LP arrays whose
 # model the solver holds, set by _highs_solver and _solve_bp_lp
 _HIGHS = threading.local()
+# the bindings' module name, and the lock under which _highs_core loads them
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+_HIGHS_CORE_LOCK = threading.Lock()
 
 # how many MeasurementSystems estimate_state and apply_current_offsets keep
 _SYSTEMS_KEPT = 16
@@ -225,6 +232,32 @@ def min_energy(a, y) -> np.ndarray:
     return x
 
 
+def _highs_core():
+    """scipy's HiGHS bindings, loaded from their file unless already imported.
+
+    Importing them by name would import all of scipy.optimize, scipy.sparse
+    and scipy.linalg. Registered under their name before they run, so that a
+    later `import scipy.optimize` reuses them and HiGHS's global scheduler.
+    """
+    with _HIGHS_CORE_LOCK:
+        if _HIGHS_CORE not in sys.modules:
+            # finding scipy's directory does not import scipy
+            dirs = getattr(importlib.util.find_spec("scipy"), "submodule_search_locations", ())
+            paths = [os.path.join(d, "optimize", "_highspy", "_core" + suffix)
+                     for d in dirs for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+            path = next(filter(os.path.isfile, paths), None)
+            if path is None:
+                raise ImportError(f"scipy's HiGHS bindings not found; searched {paths}")
+            spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+            sys.modules[_HIGHS_CORE] = core = importlib.util.module_from_spec(spec)
+            try:
+                spec.loader.exec_module(core)
+            except BaseException:
+                del sys.modules[_HIGHS_CORE]
+                raise
+        return sys.modules[_HIGHS_CORE]
+
+
 def _highs_solver():
     """(HiGHS bindings, this thread's solver), made on the thread's first call.
 
@@ -232,17 +265,19 @@ def _highs_solver():
     iterations on the basis-pursuit dual where the dual simplex takes dozens;
     no scaling, with which a kept model's answer would depend on the y
     solved before it; no presolve, which would take most of a solve on these
-    small dense LPs; 1e-9 primal and dual feasibility tolerances.
+    small dense LPs; 1e-9 primal and dual feasibility tolerances. `threads`
+    keeps its default, 0: HiGHS refuses to run a solver whose nonzero thread
+    count differs from the process-wide scheduler's, which the first run of
+    any HiGHS solver in the process sets up (linprog's among them).
     """
     try:
         return _HIGHS.core, _HIGHS.solver
     except AttributeError:
         pass
     # private module: linprog's HiGHS without its per-call wrapper; TestBpLpOracle
-    # checks its answers against linprog. Imported here because scipy.optimize
-    # is most of the import time of gridsense, and only the basis-pursuit LP
-    # needs it
-    from scipy.optimize._highspy import _core
+    # checks its answers against linprog. Loaded here, not at import, so that
+    # only the basis-pursuit LP pays for it
+    _core = _highs_core()
 
     options = _core.HighsOptions()
     options.presolve = "off"
@@ -293,10 +328,11 @@ def _solve_bp_lp(an, y, ftol, arrays):
     makes the solve start from the logical basis, as a fresh model does, so
     no answer depends on earlier solves. Other arrays go to passModel, which
     replaces the model. Where the l1 minimum is tied, x is one optimal
-    vertex. Returns None when HiGHS reports an error or a non-optimal model
-    (an unbounded dual: y outside the range of A), or leaves a non-finite x
-    or a residual above tolerance; the caller then returns the least-squares
-    point, and the next solve passes its model again.
+    vertex. Returns None when HiGHS reports an error, a non-optimal model
+    (an unbounded dual: y outside the range of A) or no valid iteration
+    count, or leaves a non-finite x or a residual above tolerance; the
+    caller then returns the least-squares point, and the next solve passes
+    its model again.
     """
     core, solver = _highs_solver()
     n, m = an.shape
@@ -325,10 +361,11 @@ def _solve_bp_lp(an, y, ftol, arrays):
     # clean complementary slack: drop multipliers at rounding level
     x[np.abs(x) < 1e-12 * max(1.0, np.abs(x).max())] = 0.0
     residual = float(np.linalg.norm(y - an @ x))
-    if residual > ftol:
+    status, iterations = solver.getInfoValue("simplex_iteration_count")
+    if residual > ftol or status != core.HighsStatus.kOk:
         return None
     _HIGHS.model = arrays
-    return x, residual, int(solver.getInfo().simplex_iteration_count)
+    return x, residual, int(iterations)
 
 
 def _bpdn_homotopy(an, y, eps, max_steps):

@@ -30,7 +30,7 @@ from gridsense import (
     sample_sparse_state,
     simulate_measurements,
 )
-from gridsense import recon
+from gridsense import harness, recon
 from gridsense.harness import SUCCESS_THRESHOLD
 from gridsense.network import Branch, Bus, DcNetwork, InjectionDevice
 from gridsense.sensing import PlacementPlan
@@ -379,6 +379,51 @@ class TestLeastSquaresGiveUp:
         want[np.array(unknown) - 1] = beta / norms
         assert np.array_equal(est.injections, want)
         assert np.array_equal(result.estimated_injections, want)
+
+
+class TestDistinctPlanContexts:
+    """A cell sets up each distinct plan once; its report equals per-trial set-up."""
+
+    @staticmethod
+    def fresh_cell(network, model, cell, trials, seed):
+        # the cell of grid index 0, each trial on its own run_trial context
+        sparsity, meters, _, estimator, noise_std = cell
+        cseed = harness._cell_seed(seed, 0)
+        plans = [
+            random_place_sensors(model, meters, seed=harness._cell_seed(cseed, p + 1))
+            for p in range(min(harness.RANDOM_PLACEMENTS, trials))
+        ]
+        results = [
+            run_trial(
+                ScenarioSpec(network, model, plans[t * len(plans) // trials], sparsity,
+                             noise_std=noise_std, seed=cseed),
+                estimator, t,
+            )
+            for t in range(trials)
+        ]
+        ratio = sum(r.success for r in results) / trials
+        return plans, ratio, float(np.mean([r.rmse for r in results]))
+
+    @pytest.mark.parametrize(
+        "cell", [(2, 8, "random", "cs", 0.0), (1, 7, "random", "min_energy", 0.01)]
+    )
+    def test_one_system_per_distinct_plan(self, monkeypatch, ieee9_network, ieee9_model, cell):
+        plans, ratio, rmse = self.fresh_cell(ieee9_network, ieee9_model, cell, 150, seed=6)
+        built = []
+
+        class CountedSystem(recon.MeasurementSystem):
+            def __init__(self, model, row_buses, known):
+                built.append(tuple(sorted(row_buses)))
+                super().__init__(model, row_buses, known)
+
+        monkeypatch.setattr(harness, "MeasurementSystem", CountedSystem)
+        report = run_benchmark(ieee9_network, ieee9_model, [cell], trials=150, seed=6)
+        distinct = {plan.chosen for plan in plans}
+        # 7 or 8 of 9 buses: at most 36 sets among the 100 placements
+        assert len(distinct) < len(plans)
+        assert sorted(built) == sorted(distinct)
+        got = report.cells[0]
+        assert (got.reconstruction_ratio, got.mean_rmse) == (ratio, rmse)
 
 
 class TestRunBenchmark:

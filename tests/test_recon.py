@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.machinery
 import itertools
 import os
 import subprocess
@@ -615,6 +616,40 @@ class TestBpLpKeptModel:
         TestBpLpOracle.assert_matches_linprog(after)
 
 
+    def test_iterations_are_the_simplex_count(self, ieee118_model):
+        a = ieee118_model.impedance[:60]
+        problem = recon.BpdnProblem(a)
+        counts = []
+        for y in _sparse_rhs(a, 5, seed=26):
+            est = problem.solve(y, SolverConfig(epsilon=0.0))
+            info = recon._highs_solver()[1].getInfo()
+            assert est.iterations_used == info.simplex_iteration_count
+            counts.append(est.iterations_used)
+        assert min(counts) > 0
+
+    def test_info_error_passes_the_model_again(self, monkeypatch, lp_calls, counted_solver):
+        # an iteration count HiGHS does not report as valid fails the solve,
+        # as a run error does
+        core = recon._highs_solver()[0]
+        warnings = []
+        inner_info = counted_solver.inner.getInfoValue
+        monkeypatch.setattr(
+            counted_solver, "getInfoValue",
+            lambda name: (warnings.pop(), 0) if warnings else inner_info(name), raising=False,
+        )
+        a = np.random.default_rng(27).standard_normal((5, 10))
+        problem = recon.BpdnProblem(a)
+        cfg = SolverConfig(epsilon=0.0)
+        ys = _sparse_rhs(a, 3, seed=28)
+        assert problem.solve(ys[0], cfg).route == "lp"
+        warnings.append(core.HighsStatus.kWarning)
+        assert problem.solve(ys[1], cfg).route == "fallback"
+        assert warnings == []
+        assert problem.solve(ys[2], cfg).route == "lp"
+        assert counted_solver.passes == 2
+        self.assert_fresh_answers(lp_calls[2:])
+
+
 class TestBpLpArrays:
     """The LP's arrays: their layout, when they are built, and sharing them."""
 
@@ -1035,20 +1070,138 @@ class TestHomotopyOracle:
         assert abs(np.abs(out[0]).sum() - l1_ref) <= 1e-12 * l1_ref
 
 
+def _fresh_interpreter(code):
+    """Stdout of `code` run by a new interpreter that imports this gridsense."""
+    src = os.path.dirname(os.path.dirname(gridsense.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+        timeout=120,
+    ).stdout
+
+
+# a noiseless S=2 9-bus snapshot on the greedy 7-meter plan's rows (buses
+# 1-5, 7, 9), which basis pursuit recovers; `solve()` makes one LP solve
+_IEEE9_LP = """
+import sys, threading
+import numpy as np
+from gridsense import SolverConfig, bundled_case_path, build_impedance_model, load_network
+from gridsense import recon, solve_bpdn
+CORE = "scipy.optimize._highspy._core"
+Z = build_impedance_model(load_network(bundled_case_path("ieee9.case"))).impedance
+A = Z[[0, 1, 2, 3, 4, 6, 8]]
+X = np.zeros(9)
+X[[1, 4]] = [1.2, -0.7]
+
+def solve():
+    est = solve_bpdn(A, A @ X, SolverConfig(epsilon=0.0))
+    assert est.route == "lp" and np.abs(est.injections - X).max() <= 1e-9
+    return est.injections.tobytes().hex()
+
+def linprog_solves():
+    from scipy.optimize import linprog
+    res = linprog(np.ones(18), A_eq=np.hstack([A, -A]), b_eq=A @ X, bounds=(0, None))
+    assert res.status == 0 and abs(res.fun - np.abs(X).sum()) <= 1e-9
+"""
+
+
+def _ieee9_lp_in_process():
+    names = {}
+    exec(_IEEE9_LP, names)
+    return names["solve"]()
+
+
 class TestLazyHighsImport:
+    """HiGHS's bindings load from their file at the first LP solve, without
+    scipy.optimize, as the same module object that scipy.optimize imports."""
+
     def test_import_loads_no_scipy(self):
-        # scipy.optimize is imported by the first eps=0 LP solve, not by the package
-        src = os.path.dirname(os.path.dirname(gridsense.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
+        out = _fresh_interpreter(
             "import sys, gridsense, gridsense.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
-        )
-        assert out.stdout.strip() == "[]"
+        assert out.strip() == "[]"
+
+    def test_lp_solve_loads_only_the_bindings(self):
+        out = _fresh_interpreter(_IEEE9_LP + """
+print(solve())
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+""").split("\n")
+        core, loaded = recon._HIGHS_CORE, out[1].split()
+        assert core in loaded
+        assert all(m == core or m.startswith(core + ".") for m in loaded)
+        # the same extension as linprog's, imported in this process
+        assert out[0] == _ieee9_lp_in_process()
+
+    @pytest.mark.parametrize(
+        "steps",
+        ["solve(); linprog_solves(); solve()", "linprog_solves(); solve(); linprog_solves()"],
+    )
+    def test_linprog_in_either_order(self, steps):
+        out = _fresh_interpreter(_IEEE9_LP + steps + """
+import importlib
+cores = {id(recon._HIGHS.core), id(sys.modules[CORE]), id(importlib.import_module(CORE))}
+print(len(cores), "scipy.optimize" in sys.modules)
+""")
+        assert out.split() == ["1", "True"]
+
+    def test_threads_first_solves_load_once(self):
+        # a slow file check widens the loader's window between finding the
+        # module missing and registering it, where an unlocked loader would
+        # let every thread load the file; the loads are counted
+        out = _fresh_interpreter(_IEEE9_LP + """
+import importlib.util, os, time
+isfile, spec_from_file = os.path.isfile, importlib.util.spec_from_file_location
+os.path.isfile = lambda path: time.sleep(0.05) or isfile(path)
+loads = []
+importlib.util.spec_from_file_location = lambda *a: loads.append(a) or spec_from_file(*a)
+barrier = threading.Barrier(4)
+cores, answers = [], []
+
+def first_solve():
+    barrier.wait(timeout=60)
+    answers.append(solve())
+    cores.append(recon._HIGHS.core)
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_solve) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(sum(t.is_alive() for t in threads), len(answers), len(set(answers)),
+      len({id(c) for c in cores} | {id(sys.modules[CORE])}), len(loads))
+""")
+        assert out.split() == ["0", "4", "1", "1", "1"]
+
+    def test_another_solver_with_two_threads_first(self):
+        # HiGHS refuses a run whose nonzero `threads` differs from the
+        # process-wide scheduler's, which the first run in the process sets
+        # up; linprog's does so with more than one thread on 3 or more cores.
+        # With the default threads = 0, the basis-pursuit LP still runs
+        out = _fresh_interpreter(_IEEE9_LP + """
+from scipy.optimize._highspy import _core
+other = _core._Highs()
+other.setOptionValue("output_flag", False)
+other.setOptionValue("threads", 2)
+empty = np.zeros(0, dtype=np.int32)
+other.passModel(
+    1, 0, 0, int(_core.MatrixFormat.kColwise), int(_core.ObjSense.kMinimize), 0.0,
+    np.ones(1), np.zeros(1), np.ones(1), np.zeros(0), np.zeros(0), np.zeros(1, np.int32),
+    empty, np.zeros(0), np.zeros(1, np.int32),
+)
+assert other.run() == _core.HighsStatus.kOk
+print(solve())
+""")
+        assert out.strip() == _ieee9_lp_in_process()
+
+    def test_missing_bindings_name_the_paths(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, recon._HIGHS_CORE)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"searched .*_highspy.*_core\.missing"):
+            recon._highs_core()
+        assert recon._HIGHS_CORE not in sys.modules
 
 
 class TestJacobianPowerRows:
