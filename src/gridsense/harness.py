@@ -14,13 +14,16 @@ from .recon import MeasurementSystem, SolverConfig
 # not called here; kept importable from this module for callers that look
 # them up by these names (bench/tracing.py)
 from .recon import estimate_state, min_energy  # noqa: F401
-from .sensing import PlacementPlan, greedy_place_sensors, random_place_sensors
+from .sensing import random_place_sensors  # noqa: F401
+from .sensing import PlacementPlan, assemble_measurement_matrix, greedy_place_sensors
+from .sensing import random_sensor_buses
 
 ESTIMATORS = ("cs", "min_energy")
 
 SUCCESS_THRESHOLD = 0.05  # max per-bus error relative to the largest true injection
 # each sampled injection's magnitude in p.u., drawn uniformly; its sign is +-1 at random
 INJECTION_RANGE = (0.5, 1.5)
+_SIGNS = np.array([-1.0, 1.0])
 # a random-placement cell averages over this many placements, or one per trial if fewer
 RANDOM_PLACEMENTS = 100
 
@@ -35,11 +38,14 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        m = self.model.size
-        if not 1 <= self.sparsity <= m:
-            raise ValidationError(f"sparsity must be in 1..{m}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
-            raise ValidationError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        _check_sparsity_and_noise(self.model.size, self.sparsity, self.noise_std)
+
+
+def _check_sparsity_and_noise(m: int, sparsity: int, noise_std: float) -> None:
+    if not 1 <= sparsity <= m:
+        raise ValidationError(f"sparsity must be in 1..{m}")
+    if not (math.isfinite(noise_std) and noise_std >= 0):
+        raise ValidationError(f"noise_std must be finite and >= 0, got {noise_std}")
 
 
 @dataclass(frozen=True)
@@ -133,27 +139,27 @@ def eligible_injection_buses(network: DcNetwork) -> list[int]:
 
 def sample_sparse_state(m: int, spec: ScenarioSpec, trial_index: int) -> np.ndarray:
     """Random S-sparse injection vector, deterministic in (seed, trial_index)."""
-    return _draw_sparse_state(m, spec, _eligible_for(spec), trial_index)
+    eligible = _eligible_for(spec.network, spec.sparsity)
+    return _draw_states(m, spec.seed, spec.sparsity, eligible, [trial_index])[0]
 
 
-def _eligible_for(spec: ScenarioSpec) -> list[int]:
-    eligible = eligible_injection_buses(spec.network)
-    if spec.sparsity > len(eligible):
-        raise ValidationError(
-            f"sparsity {spec.sparsity} exceeds the {len(eligible)} eligible buses"
-        )
+def _eligible_for(network: DcNetwork, sparsity: int) -> list[int]:
+    eligible = eligible_injection_buses(network)
+    if sparsity > len(eligible):
+        raise ValidationError(f"sparsity {sparsity} exceeds the {len(eligible)} eligible buses")
     return eligible
 
 
-def _draw_sparse_state(m, spec, eligible, trial_index) -> np.ndarray:
-    rng = np.random.default_rng((spec.seed, trial_index, 0))
-    support = rng.choice(len(eligible), size=spec.sparsity, replace=False)
-    magnitudes = rng.uniform(*INJECTION_RANGE, spec.sparsity)
-    signs = rng.choice([-1.0, 1.0], size=spec.sparsity)
-    x = np.zeros(m)
-    for idx, mag, sign in zip(support, magnitudes, signs):
-        x[eligible[idx] - 1] = sign * mag
-    return x
+def _draw_states(m, seed, sparsity, eligible, trials) -> np.ndarray:
+    """Row i is trial trials[i]'s state, drawn from that trial's own stream."""
+    columns = np.array(eligible) - 1
+    states = np.zeros((len(trials), m))
+    for x, t in zip(states, trials):
+        rng = np.random.default_rng((seed, t, 0))
+        support = columns[rng.choice(len(columns), size=sparsity, replace=False)]
+        magnitudes = rng.uniform(*INJECTION_RANGE, sparsity)
+        x[support] = rng.choice(_SIGNS, size=sparsity) * magnitudes
+    return states
 
 
 def simulate_measurements(model: ImpedanceModel, plan: PlacementPlan, i_true) -> np.ndarray:
@@ -190,76 +196,87 @@ def run_trial(
     trial_index: int,
     cfg: SolverConfig | None = None,
 ) -> TrialResult:
-    """sample -> simulate -> noise -> estimate -> score, for one trial."""
-    return _TrialContext(spec, estimator, cfg).run(trial_index)
+    """sample -> simulate -> noise -> estimate -> score, for one trial: a
+    benchmark cell of that one trial on the spec's plan."""
+    states, estimates, max_rel, rmse, [(route, converged)] = _run_cell(
+        spec.network, spec.model, spec.sparsity, spec.noise_std, spec.seed, estimator, cfg,
+        [(spec.placement.chosen, [trial_index])])
+    return TrialResult(states[0], estimates[0], float(max_rel[0]), float(rmse[0]),
+                       bool(max_rel[0] < SUCCESS_THRESHOLD), route, converged)
 
 
-class _TrialContext:
-    """What is fixed for a scenario and estimator; `run(t)` does trial t's part.
-
-    Holds the checks, the fixed injections, the eligible buses, the plan's
-    Z rows in plan order (to simulate the readings) and a
-    `recon.MeasurementSystem`, which offsets the fixed injections, solves
-    and scatters the estimate back. `cs` builds it on the rows in ascending
-    bus order, as `estimate_state` does for the same snapshot, so the LP
-    sees the same matrix and takes the same pivots; `min_energy` on the rows
-    in plan order.
-    """
-
-    def __init__(self, spec: ScenarioSpec, estimator: str, cfg: SolverConfig | None):
-        if estimator not in ESTIMATORS:
-            raise ValidationError(f"estimator must be one of {ESTIMATORS}")
-        unsupported = [
-            d.kind for d in spec.network.devices
-            if d.kind in ("voltage_source", "constant_power")
-        ]
-        if unsupported:
-            raise ValidationError(
-                f"benchmark scenarios support current sources and resistance loads only, "
-                f"found {sorted(set(unsupported))}"
-            )
-        self.spec = spec
-        self.fixed = {
-            d.bus: d.value for d in spec.network.devices if d.kind == "current_source"
-        }
-        self.eligible = _eligible_for(spec)
-        chosen = spec.placement.chosen
-        cs = estimator == "cs"
-        # built first: it rejects bus ids outside the model and repeated buses
-        self.system = MeasurementSystem(spec.model, sorted(chosen) if cs else chosen, self.fixed)
-        # in plan order: the readings are simulated in this order
-        self.rows = spec.model.impedance[np.array(chosen) - 1]
-        self.order = np.argsort(chosen) if cs else slice(None)
-        if cs and cfg is None:
-            cfg = SolverConfig(epsilon=default_epsilon(spec.noise_std, len(chosen)))
-        self.cfg = cfg if cs else None
-
-    def run(self, trial_index: int) -> TrialResult:
-        spec = self.spec
-        i_true = _draw_sparse_state(spec.model.size, spec, self.eligible, trial_index)
-        for b, val in self.fixed.items():
-            i_true[b - 1] = val
-        y = add_noise(self.rows @ i_true, spec.noise_std, spec.seed, trial_index)[self.order]
-        if self.cfg is not None:
-            est = self.system.bpdn(y, self.cfg)
-            estimate, route, converged = est.injections, est.route, est.converged
-        else:
-            estimate = self.system.min_energy(y)
-            route, converged = "", True
-
-        err = estimate - i_true
-        denom = float(np.abs(i_true).max())
-        max_rel = float(np.abs(err).max() / denom)
-        rmse = float(np.sqrt(np.mean(err**2)))
-        return TrialResult(
-            true_injections=i_true,
-            estimated_injections=estimate,
-            max_relative_error=max_rel,
-            rmse=rmse,
-            success=max_rel < SUCCESS_THRESHOLD,
-            route=route,
-            converged=converged,
+def _check_trials(network, model, sparsity, noise_std, estimator) -> list[int]:
+    """Raise on a scenario whose trials cannot run; else return its eligible buses."""
+    _check_sparsity_and_noise(model.size, sparsity, noise_std)
+    if estimator not in ESTIMATORS:
+        raise ValidationError(f"estimator must be one of {ESTIMATORS}")
+    unsupported = sorted({d.kind for d in network.devices} & {"voltage_source", "constant_power"})
+    if unsupported:
+        raise ValidationError(
+            f"benchmark scenarios support current sources and resistance loads only, "
+            f"found {unsupported}"
         )
+    return _eligible_for(network, sparsity)
+
+
+def _run_cell(network, model, sparsity, noise_std, seed, estimator, cfg, blocks):
+    """A cell's trials as arrays: draw every state, solve per trial, score once.
+
+    `blocks` lists (plan buses, trial indices); row i of each returned array
+    is the i-th of those trials. Returns the true and estimated states, each
+    trial's max relative error and RMSE, and its (route, converged).
+    """
+    eligible = _check_trials(network, model, sparsity, noise_std, estimator)
+    known = {d.bus: d.value for d in network.devices if d.kind == "current_source"}
+    trials = [t for _, block in blocks for t in block]
+    states = _draw_states(model.size, seed, sparsity, eligible, trials)
+    for b, val in known.items():
+        states[:, b - 1] = val
+
+    cs = estimator == "cs"
+    if cs and cfg is None:
+        cfg = SolverConfig(epsilon=default_epsilon(noise_std, len(blocks[0][0])))
+    # each distinct plan: a `recon.MeasurementSystem` (`cs` on the rows in
+    # ascending bus order, as `estimate_state` builds it, so the LP takes the
+    # same pivots), its Z rows in plan order, in which the readings are
+    # simulated, and the reading order; dropped after the plan's last block
+    last_block = {chosen: p for p, (chosen, _) in enumerate(blocks)}
+    systems = {}
+    estimates = np.empty_like(states)
+    outcomes = []
+    for p, (chosen, block) in enumerate(blocks):
+        if chosen not in systems:
+            # the system rejects bus ids outside the model and repeated buses
+            systems[chosen] = (MeasurementSystem(model, sorted(chosen) if cs else chosen, known),
+                               model.impedance[np.array(chosen) - 1],
+                               np.argsort(chosen) if cs else slice(None))
+        system = systems.pop(chosen) if last_block[chosen] == p else systems[chosen]
+        rows = slice(len(outcomes), len(outcomes) + len(block))
+        outcomes += _solve_block(system, cfg if cs else None, noise_std, seed, block,
+                                 states[rows], estimates[rows])
+
+    err = estimates - states
+    max_rel = np.abs(err).max(axis=1) / np.abs(states).max(axis=1)
+    rmse = np.sqrt(np.mean(err**2, axis=1))
+    return states, estimates, max_rel, rmse, outcomes
+
+
+def _solve_block(plan_system, cfg, noise_std, seed, trials, states, estimates):
+    """Estimate trials[i]'s noisy readings of states[i] into estimates[i], on one
+    plan's system; min_energy when `cfg` is None. Returns each trial's
+    (route, converged), ("", True) for min_energy."""
+    system, rows, order = plan_system
+    outcomes = []
+    for t, x, out in zip(trials, states, estimates):
+        y = add_noise(rows @ x, noise_std, seed, t)[order]
+        if cfg is None:
+            out[:] = system.min_energy(y)
+            outcomes.append(("", True))
+        else:
+            est = system.bpdn(y, cfg)
+            out[:] = est.injections
+            outcomes.append((est.route, est.converged))
+    return outcomes
 
 
 def _cell_seed(seed: int, index: int) -> int:
@@ -278,66 +295,59 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Fill a benchmark grid; deterministic in (cells, trials, seed).
 
-    Each cell is a (sparsity, meters, placement, estimator, noise_std) tuple.
-    Random-placement cells average over `RANDOM_PLACEMENTS` placements (at
-    most one per trial); trial t runs on placement t * n_placements // trials,
-    so every requested trial runs and the placements share them as evenly as
-    the counts allow. When `epsilon` is given it overrides the noise-derived
-    BPDN radius in every cell.
-    Trials run serially; `threads` is accepted for compatibility and ignored.
+    Each cell is a (sparsity, meters, placement, estimator, noise_std) tuple,
+    and every cell is checked before the first trial runs. Random-placement
+    cells average over `RANDOM_PLACEMENTS` placements (at most one per
+    trial); trial t runs on placement t * n_placements // trials, so every
+    requested trial runs and the placements share them as evenly as the
+    counts allow. When `epsilon` is given it overrides the noise-derived
+    BPDN radius in every cell. A cell runs in three passes: draw every
+    trial's state, each from its own stream, into one trials x m array;
+    solve trial by trial, block by plan block (`_solve_block`), into a
+    second; score with row-wise reductions. A cell keeps its trials as rows
+    of those two arrays, not as result objects. Trials run serially;
+    `threads` is ignored.
     """
     cfg = None if epsilon is None else SolverConfig(epsilon=epsilon)
-    cells = [_normalize_cell(c) for c in cells]
-    if not cells:
-        raise ValidationError("benchmark grid is empty")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    cells = [_normalize_cell(network, model, c) for c in cells]
+    if not cells:
+        raise ValidationError("benchmark grid is empty")
     results = []
     greedy_cache: dict[int, PlacementPlan] = {}
     for idx, (sparsity, meters, placement, estimator, noise_std) in enumerate(cells):
         cseed = _cell_seed(seed, idx)
         if isinstance(placement, PlacementPlan):
-            plans = [placement]
-            placement = "file"
+            plans, placement = [placement.chosen], "file"
         elif placement == "greedy":
             if meters not in greedy_cache:
                 greedy_cache[meters] = greedy_place_sensors(model, meters)
-            plans = [greedy_cache[meters]]
-        elif placement == "random":
+            plans = [greedy_cache[meters].chosen]
+        else:
+            # random_place_sensors's buses, without its coherence, which no cell reads
             plans = [
-                random_place_sensors(model, meters, seed=_cell_seed(cseed, p + 1))
+                random_sensor_buses(model.size, meters, _cell_seed(cseed, p + 1))
                 for p in range(min(RANDOM_PLACEMENTS, trials))
             ]
-        else:
-            raise ValidationError(f"unknown placement method {placement!r}")
 
         # trial t runs on plan t * n_plans // trials: consecutive blocks of
-        # trials // n_plans or one more, covering every requested trial.
-        # Random plans repeat (their buses are sorted), so a distinct plan's
-        # context serves all its blocks, and is dropped after its last one
-        last_block = {plan: p for p, plan in enumerate(plans)}
-        contexts: dict[PlacementPlan, _TrialContext] = {}
-        trial_results = []
-        for p, block in itertools.groupby(range(trials), lambda t: t * len(plans) // trials):
-            plan = plans[p]
-            if plan not in contexts:
-                spec = ScenarioSpec(
-                    network=network, model=model, placement=plan, sparsity=sparsity,
-                    noise_std=noise_std, seed=cseed,
-                )
-                contexts[plan] = _TrialContext(spec, estimator, cfg)
-            context = contexts.pop(plan) if last_block[plan] == p else contexts[plan]
-            trial_results += [context.run(t) for t in block]
-
-        n = len(trial_results)
-        ratio = sum(1 for r in trial_results if r.success) / n
-        mean_rmse = float(np.mean([r.rmse for r in trial_results]))
+        # trials // n_plans or one more, covering every requested trial
+        blocks = [
+            (plans[p], list(block))
+            for p, block in itertools.groupby(range(trials), lambda t: t * len(plans) // trials)
+        ]
+        max_rel, rmse = _run_cell(
+            network, model, sparsity, noise_std, cseed, estimator, cfg, blocks)[2:4]
         results.append(
             CellResult(
                 sparsity=sparsity, meters=meters, placement=placement,
                 estimator=estimator, noise_std=noise_std,
-                reconstruction_ratio=ratio, mean_rmse=mean_rmse,
-                trials=n, seed=cseed,
+                reconstruction_ratio=int(np.count_nonzero(max_rel < SUCCESS_THRESHOLD)) / trials,
+                mean_rmse=float(np.mean(rmse)),
+                trials=trials, seed=cseed,
             )
         )
     return BenchmarkReport(
@@ -345,13 +355,23 @@ def run_benchmark(
     )
 
 
-def _normalize_cell(cell):
+def _normalize_cell(network, model, cell):
+    """The cell as plain values; raises on any cell whose trials cannot run."""
     sparsity, meters, placement, estimator, noise_std = cell
+    sparsity, meters, noise_std = int(sparsity), int(meters), float(noise_std)
+    estimator = str(estimator)
     if isinstance(placement, PlacementPlan):
-        if int(meters) != len(placement.chosen):
+        if meters != len(placement.chosen):
             raise ValidationError(
                 f"cell has {meters} meters but its placement plan has {len(placement.chosen)}"
             )
+        # the bus ids the cell's measurement system would reject
+        assemble_measurement_matrix(model, placement.chosen)
+    elif str(placement) not in ("greedy", "random"):
+        raise ValidationError(f"unknown placement method {placement!r}")
+    elif not 1 <= meters <= model.size:
+        raise ValidationError(f"meters must be in 1..{model.size}, got {meters}")
     else:
         placement = str(placement)
-    return int(sparsity), int(meters), placement, str(estimator), float(noise_std)
+    _check_trials(network, model, sparsity, noise_std, estimator)
+    return sparsity, meters, placement, estimator, noise_std

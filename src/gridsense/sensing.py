@@ -234,14 +234,22 @@ def greedy_place_sensors(
     )
 
 
+def random_sensor_buses(
+    m: int, k: int, seed: int, candidate_sensor_buses=None
+) -> tuple[int, ...]:
+    """k candidate buses (every bus by default), uniform without replacement, sorted."""
+    candidates = _candidate_buses(m, k, candidate_sensor_buses)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    picked = np.random.default_rng(seed).choice(len(candidates), size=k, replace=False)
+    return tuple(sorted(candidates[i] for i in picked))
+
+
 def random_place_sensors(
     model: ImpedanceModel, k: int, seed: int, candidate_sensor_buses=None
 ) -> PlacementPlan:
     """Uniform sensor placement without replacement, reproducible from the seed."""
-    candidate_sensor_buses = _candidate_buses(model.size, k, candidate_sensor_buses)
-    rng = np.random.default_rng(seed)
-    picked = rng.choice(len(candidate_sensor_buses), size=k, replace=False)
-    chosen = tuple(sorted(candidate_sensor_buses[i] for i in picked))
+    chosen = random_sensor_buses(model.size, k, seed, candidate_sensor_buses)
     coh = gram_coherence(assemble_measurement_matrix(model, chosen)).mutual_coherence
     return PlacementPlan(chosen=chosen, objective_trace=(coh,), final_coherence=coh)
 

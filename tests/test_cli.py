@@ -20,6 +20,7 @@ from gridsense import (
     estimate_state,
     load_network,
 )
+from gridsense import harness
 from gridsense.cli import (
     EXIT_DATA,
     EXIT_INTERNAL,
@@ -429,6 +430,19 @@ class TestBench:
         assert "cell has 3 meters but its placement plan has 7" in err
         assert out == ""
 
+    def test_bad_cell_fails_before_any_trial(self, capsys, monkeypatch):
+        # the S=1 cell would run 3,000 trials before the S=10 cell fails
+        def no_solve(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_solve_block", no_solve)
+        code, out, err = run(
+            capsys, "bench", "--case", IEEE9, "--meters", "7", "--sparsity", "1,10",
+            "--trials", "3000",
+        )
+        assert (code, out) == (EXIT_DATA, "")
+        assert "sparsity must be in 1..9" in err
+
     def test_csv_and_plot_companion(self, capsys, tmp_path):
         target = tmp_path / "report.csv"
         code, _, _ = run(
@@ -541,6 +555,17 @@ def test_empty_plan_rejected(capsys, tmp_path, subcommand):
     code, _, err = run(capsys, subcommand, "--case", IEEE9, *argv)
     assert code == EXIT_DATA
     assert "no sensor buses" in err
+
+
+@pytest.mark.parametrize("subcommand", ["place", "bench"])
+def test_negative_seed_named(capsys, subcommand):
+    argv = {
+        "place": ["--meters", "5", "--placement", "random"],
+        "bench": ["--meters", "7", "--sparsity", "1", "--placement", "random", "--trials", "2"],
+    }[subcommand]
+    code, out, err = run(capsys, subcommand, "--case", IEEE9, *argv, "--seed", "-1")
+    assert (code, out) == (EXIT_DATA, "")
+    assert "gridsense: error: seed must be >= 0, got -1" in err
 
 
 class TestUsageErrors:

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsense import (
     BenchmarkReport,
+    CellResult,
     MeasurementSet,
     ScenarioSpec,
     SolverConfig,
@@ -123,6 +127,49 @@ class TestSampleSparseState:
         spec = ScenarioSpec(network=net, model=model, placement=plan, sparsity=2, seed=0)
         with pytest.raises(ValidationError):
             sample_sparse_state(3, spec, 0)
+
+
+def _reference_draw(m, spec, trial_index):
+    """The state draw as it was made one trial at a time, with the signs
+    passed to rng.choice as a list: the oracle for the cell's state array."""
+    eligible = eligible_injection_buses(spec.network)
+    rng = np.random.default_rng((spec.seed, trial_index, 0))
+    support = rng.choice(len(eligible), size=spec.sparsity, replace=False)
+    magnitudes = rng.uniform(*harness.INJECTION_RANGE, spec.sparsity)
+    signs = rng.choice([-1.0, 1.0], size=spec.sparsity)
+    x = np.zeros(m)
+    for idx, mag, sign in zip(support, magnitudes, signs):
+        x[eligible[idx] - 1] = sign * mag
+    return x
+
+
+class TestStateDrawMatchesReference:
+    """sample_sparse_state and a cell's state array are the per-trial draw, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        trials=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+        sparsity=st.integers(1, 9),
+    )
+    def test_ieee9(self, ieee9_spec, seed, trials, sparsity):
+        spec = ieee9_spec(sparsity=sparsity, seed=seed)
+        eligible = eligible_injection_buses(spec.network)
+        states = harness._draw_states(9, seed, sparsity, eligible, trials)
+        for row, t in zip(states, trials):
+            want = _reference_draw(9, spec, t)
+            assert row.tobytes() == want.tobytes()
+            assert sample_sparse_state(9, spec, t).tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32), trial=st.integers(0, 10**4), sparsity=st.integers(1, 7))
+    def test_fixed_buses_excluded(self, ieee9_current_source_spec, seed, trial, sparsity):
+        spec = dataclasses.replace(ieee9_current_source_spec, sparsity=sparsity, seed=seed)
+        want = _reference_draw(9, spec, trial)
+        assert sample_sparse_state(9, spec, trial).tobytes() == want.tobytes()
+        eligible = eligible_injection_buses(spec.network)
+        got = harness._draw_states(9, seed, sparsity, eligible, [trial])[0]
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSimulateMeasurements:
@@ -424,6 +471,186 @@ class TestDistinctPlanContexts:
         assert sorted(built) == sorted(distinct)
         got = report.cells[0]
         assert (got.reconstruction_ratio, got.mean_rmse) == (ratio, rmse)
+
+
+class _ReferenceTrialContext:
+    """One plan's set-up and its per-trial run, as a cell ran them trial by
+    trial before it ran as arrays; returns each trial's (success, rmse)."""
+
+    def __init__(self, spec, estimator, cfg):
+        self.spec = spec
+        self.fixed = {
+            d.bus: d.value for d in spec.network.devices if d.kind == "current_source"
+        }
+        chosen = spec.placement.chosen
+        cs = estimator == "cs"
+        self.system = recon.MeasurementSystem(
+            spec.model, sorted(chosen) if cs else chosen, self.fixed
+        )
+        self.rows = spec.model.impedance[np.array(chosen) - 1]
+        self.order = np.argsort(chosen) if cs else slice(None)
+        if cs and cfg is None:
+            cfg = SolverConfig(epsilon=default_epsilon(spec.noise_std, len(chosen)))
+        self.cfg = cfg if cs else None
+
+    def run(self, trial_index):
+        spec = self.spec
+        i_true = _reference_draw(spec.model.size, spec, trial_index)
+        for b, val in self.fixed.items():
+            i_true[b - 1] = val
+        y = add_noise(self.rows @ i_true, spec.noise_std, spec.seed, trial_index)[self.order]
+        if self.cfg is not None:
+            estimate = self.system.bpdn(y, self.cfg).injections
+        else:
+            estimate = self.system.min_energy(y)
+        err = estimate - i_true
+        max_rel = float(np.abs(err).max() / float(np.abs(i_true).max()))
+        return max_rel < SUCCESS_THRESHOLD, float(np.sqrt(np.mean(err**2)))
+
+
+def _reference_run_benchmark(network, model, cells, trials, seed, model_id="", epsilon=None):
+    """run_benchmark as a per-trial loop, one result per trial: the oracle for
+    the draw, solve and score passes. Takes valid grids only."""
+    cfg = None if epsilon is None else SolverConfig(epsilon=epsilon)
+    results = []
+    for idx, (sparsity, meters, placement, estimator, noise_std) in enumerate(cells):
+        cseed = harness._cell_seed(seed, idx)
+        if isinstance(placement, PlacementPlan):
+            plans, placement = [placement], "file"
+        elif placement == "greedy":
+            plans = [greedy_place_sensors(model, meters)]
+        else:
+            plans = [
+                random_place_sensors(model, meters, seed=harness._cell_seed(cseed, p + 1))
+                for p in range(min(harness.RANDOM_PLACEMENTS, trials))
+            ]
+        last_block = {plan: p for p, plan in enumerate(plans)}
+        contexts = {}
+        trial_results = []
+        for p, block in itertools.groupby(range(trials), lambda t: t * len(plans) // trials):
+            plan = plans[p]
+            if plan not in contexts:
+                spec = ScenarioSpec(network, model, plan, sparsity, noise_std=noise_std, seed=cseed)
+                contexts[plan] = _ReferenceTrialContext(spec, estimator, cfg)
+            context = contexts.pop(plan) if last_block[plan] == p else contexts[plan]
+            trial_results += [context.run(t) for t in block]
+        results.append(CellResult(
+            sparsity=sparsity, meters=meters, placement=placement, estimator=estimator,
+            noise_std=noise_std,
+            reconstruction_ratio=sum(1 for ok, _ in trial_results if ok) / trials,
+            mean_rmse=float(np.mean([rmse for _, rmse in trial_results])),
+            trials=trials, seed=cseed,
+        ))
+    return BenchmarkReport(tuple(results), seed=seed, trials=trials, model_id=model_id)
+
+
+class TestRunBenchmarkMatchesReference:
+    """Each cell's draw, solve and score passes give the per-trial loop's report, byte for byte."""
+
+    @staticmethod
+    def assert_same_report(network, model, cells, trials, **kwargs):
+        got = run_benchmark(network, model, cells, trials=trials, seed=8, **kwargs)
+        want = _reference_run_benchmark(network, model, cells, trials=trials, seed=8, **kwargs)
+        assert got.to_json_text() == want.to_json_text()
+
+    @staticmethod
+    def grid(model, sparsity, meters, noise, estimators=("cs", "min_energy")):
+        plan = greedy_place_sensors(model, meters)
+        return [
+            (s, meters, pl, est, nz)
+            for s in sparsity
+            for pl in ("greedy", "random", plan)
+            for est in estimators
+            for nz in noise
+        ]
+
+    def test_ieee9(self, ieee9_network, ieee9_model):
+        # 150 trials: not a multiple of the 100 random placements
+        cells = self.grid(ieee9_model, (1, 2), 7, (0.0, 0.01))
+        self.assert_same_report(ieee9_network, ieee9_model, cells, 150, model_id="ieee9.case")
+
+    def test_known_current_sources(self, ieee9_current_source_spec):
+        spec = ieee9_current_source_spec
+        cells = self.grid(spec.model, (2,), 7, (0.0, 0.01))
+        self.assert_same_report(spec.network, spec.model, cells, 150)
+
+    def test_epsilon_override(self, ieee9_network, ieee9_model):
+        cells = self.grid(ieee9_model, (1, 2), 8, (0.0, 0.01), estimators=("cs",))
+        self.assert_same_report(ieee9_network, ieee9_model, cells, 150, epsilon=0.02)
+
+    def test_ieee118(self, ieee118_network, ieee118_model):
+        cells = self.grid(ieee118_model, (2,), 60, (0.0,))
+        cells += self.grid(ieee118_model, (2,), 60, (0.01,), estimators=("min_energy",))
+        self.assert_same_report(ieee118_network, ieee118_model, cells, 150)
+
+    def test_ieee118_noisy_cs(self, ieee118_network, ieee118_model):
+        # noisy 118-bus solves take the homotopy, the slowest route: few trials
+        cells = self.grid(ieee118_model, (2,), 60, (0.01,), estimators=("cs",))
+        self.assert_same_report(ieee118_network, ieee118_model, cells, 12)
+
+
+class TestGridCheckedBeforeAnyTrial:
+    """A grid with a bad cell fails before any trial of any cell is solved."""
+
+    VALID = [(1, 7, "greedy", "cs", 0.0), (2, 7, "random", "min_energy", 0.01)]
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        calls = []
+        solve_block = harness._solve_block
+
+        def spy(*args):
+            calls.append(args)
+            return solve_block(*args)
+
+        monkeypatch.setattr(harness, "_solve_block", spy)
+        return calls
+
+    def test_spy_sees_the_solves(self, solved, ieee9_network, ieee9_model):
+        run_benchmark(ieee9_network, ieee9_model, self.VALID, trials=3, seed=1)
+        assert len(solved) == 1 + 3
+
+    @pytest.mark.parametrize(
+        "bad_cell, message",
+        [
+            ((10, 7, "greedy", "cs", 0.0), "sparsity must be in 1..9"),
+            ((1, 7, "greedy", "omp", 0.0), "estimator must be one of"),
+            ((1, 7, "optimal", "cs", 0.0), "unknown placement method 'optimal'"),
+            ((1, 7, "greedy", "cs", float("nan")), "noise_std must be finite and >= 0"),
+            ((1, 7, "random", "cs", -0.1), "noise_std must be finite and >= 0"),
+            ((1, 10, "greedy", "cs", 0.0), r"meters must be in 1\.\.9, got 10"),
+            ((1, 0, "random", "cs", 0.0), r"meters must be in 1\.\.9, got 0"),
+            ((1, 3, PlacementPlan((0, 3, 5), (), 0.5), "cs", 0.0), "unknown bus id 0"),
+            ((1, 3, PlacementPlan((3, 3, 5), (), 0.5), "cs", 0.0), "duplicate sensor buses"),
+        ],
+    )
+    def test_bad_last_cell(self, solved, ieee9_network, ieee9_model, bad_cell, message):
+        with pytest.raises(ValidationError, match=message):
+            run_benchmark(ieee9_network, ieee9_model, self.VALID + [bad_cell], trials=3, seed=1)
+        assert solved == []
+
+    def test_sparsity_above_eligible_buses(self, solved, ieee9_current_source_spec):
+        spec = ieee9_current_source_spec  # buses 2 and 8 are known: 7 eligible
+        cells = self.VALID + [(8, 7, "greedy", "cs", 0.0)]
+        with pytest.raises(ValidationError, match="sparsity 8 exceeds the 7 eligible buses"):
+            run_benchmark(spec.network, spec.model, cells, trials=3, seed=1)
+        assert solved == []
+
+    def test_unsupported_devices(self, solved):
+        net = DcNetwork(
+            (Bus(id=1, shunt_resistance=1.0), Bus(id=2)),
+            (Branch(1, 2, 1.0),),
+            (InjectionDevice(2, "constant_power", 1.0),),
+        )
+        with pytest.raises(ValidationError, match=r"found \['constant_power'\]"):
+            run_benchmark(net, build_impedance_model(net), [(1, 1, "greedy", "cs", 0.0)],
+                          trials=3, seed=1)
+        assert solved == []
+
+    def test_negative_seed_named(self, solved, ieee9_network, ieee9_model):
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            run_benchmark(ieee9_network, ieee9_model, self.VALID, trials=3, seed=-1)
+        assert solved == []
 
 
 class TestRunBenchmark:

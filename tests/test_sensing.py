@@ -308,6 +308,10 @@ class TestRandomPlacement:
         with pytest.raises(ValidationError, match="unknown bus id"):
             random_place_sensors(ieee9_model, 2, seed=0, candidate_sensor_buses=[bad, 3])
 
+    def test_negative_seed_named(self, ieee9_model):
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            random_place_sensors(ieee9_model, 5, seed=-1)
+
 
 class TestDuplicateCandidates:
     """Both placers reject repeated candidate buses up front, whatever the seed."""
