@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -175,7 +174,7 @@ def read_sections(text: str, header: str, sections, parse_line) -> None:
 
 
 def load_network(source) -> DcNetwork:
-    """Load a `gridsense-case v1` file from a path, stream, or text.
+    """Load a `gridsense-case v1` case from a path (str or os.PathLike) or its text.
 
     A str is case text when it contains a newline and a file path otherwise.
     """
@@ -204,20 +203,12 @@ def load_network(source) -> DcNetwork:
 
 
 def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        # every valid case has a header line and a section line
-        if "\n" in source:
-            return source
+    # every valid case has a header line and a section line
+    if isinstance(source, str) and "\n" in source:
+        return source
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
-    if isinstance(source, os.PathLike):
-        with open(source, "r", encoding="utf-8") as fh:
-            return fh.read()
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
     raise TypeError(f"unsupported case source {type(source)!r}")
 
 
@@ -251,8 +242,6 @@ def fold_constant_resistance_loads(
     folded = g.copy()
     record = []
     for d in net.devices_of_kind("constant_resistance_load"):
-        if not d.value > 0:
-            raise ValidationError(f"constant-resistance load at bus {d.bus} must be > 0")
         folded[d.bus - 1, d.bus - 1] += 1.0 / d.value
         record.append((d.bus, d.value))
     return folded, tuple(record)

@@ -30,7 +30,7 @@ _HIGHS = threading.local()
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 _HIGHS_CORE_LOCK = threading.Lock()
 
-# how many MeasurementSystems estimate_state and apply_current_offsets keep
+# how many MeasurementSystems estimate_state keeps
 _SYSTEMS_KEPT = 16
 
 
@@ -147,7 +147,9 @@ def apply_current_offsets(y, model: ImpedanceModel, sensor_buses, known: dict[in
     sensor_buses = tuple(sensor_buses)
     if y.shape != (len(sensor_buses),):
         raise ValidationError("y length must match the sensor bus list")
-    return y - _system(model, sensor_buses, known).offset
+    known_buses = sorted(known)
+    currents = np.array([known[b] for b in known_buses], dtype=float)
+    return y - assemble_measurement_matrix(model, sensor_buses, known_buses) @ currents
 
 
 def _system(model: ImpedanceModel, row_buses, known: dict[int, float]) -> "MeasurementSystem":

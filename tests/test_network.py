@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import re
 import shutil
 
@@ -44,14 +43,6 @@ class TestLoadNetwork:
     def test_ieee118_case(self, ieee118_network):
         assert ieee118_network.size == 118
         assert len(ieee118_network.branches) == 186
-
-    def test_stream_source(self):
-        net = load_network(io.StringIO(TWO_BUS_CASE))
-        assert net.size == 2
-
-    def test_bytes_source(self):
-        net = load_network(TWO_BUS_CASE.encode("utf-8"))
-        assert net.size == 2
 
     def test_missing_header(self):
         with pytest.raises(CaseParseError):

@@ -1502,8 +1502,8 @@ def _assert_same_estimate(got, want):
 
 
 class TestSystemMemo:
-    """estimate_state and apply_current_offsets reuse one MeasurementSystem per
-    model, row buses and known injections, from a bounded memo."""
+    """estimate_state reuses one MeasurementSystem per model, row buses and
+    known injections, from a bounded memo; apply_current_offsets builds none."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self):
@@ -1576,7 +1576,7 @@ class TestSystemMemo:
         twin = invert_to_impedance(np.array([[1.0, -1.0], [-1.0, 2.0]]))
         y = np.array([1.0, 2.0])
         for model in (TWO_BUS_Z, other, twin, TWO_BUS_Z):
-            got = apply_current_offsets(y, model, [1, 2], {2: 1.0})
+            got = y - recon._system(model, [1, 2], {2: 1.0}).offset
             assert np.array_equal(got, y - model.impedance[:, 1])
         assert recon._memo_system.cache_info().currsize == 3
         assert recon._system(TWO_BUS_Z, [1, 2], {}) is not recon._system(twin, [1, 2], {})
@@ -1585,9 +1585,22 @@ class TestSystemMemo:
         assert recon._memo_system.cache_info().maxsize == recon._SYSTEMS_KEPT
         plans = list(itertools.combinations(range(1, 10), 3))[: 3 * recon._SYSTEMS_KEPT]
         for buses in plans:
-            apply_current_offsets(np.ones(3), ieee9_model, buses, {1: 0.5})
+            recon._system(ieee9_model, buses, {1: 0.5})
             assert recon._memo_system.cache_info().currsize <= recon._SYSTEMS_KEPT
         assert recon._memo_system.cache_info().currsize == recon._SYSTEMS_KEPT
+
+    def test_offsets_in_plan_order_add_no_entry(self, ieee9_model):
+        # estimate_state reads the meters in ascending bus order; offsets in
+        # the plan's own order must not build a second system for the plan
+        plan = plan_for((1, 2, 3, 5, 7, 9, 4))
+        i_true = np.zeros(9)
+        i_true[4] = 1.0
+        meas, cfg = _snapshot(ieee9_model, plan, i_true, known={3: 0.25})
+        estimate_state(ieee9_model, meas, plan, cfg)
+        y = np.array([meas.voltage_readings[b] for b in plan.chosen])
+        got = apply_current_offsets(y, ieee9_model, plan.chosen, meas.known_injections)
+        assert np.array_equal(got, y - 0.25 * ieee9_model.impedance[np.array(plan.chosen) - 1, 2])
+        assert recon._memo_system.cache_info().currsize == 1
 
     def test_threads_get_the_serial_answers(self, ieee9_model):
         # four plans, each snapshot stream on its own thread; every thread
