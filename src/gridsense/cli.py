@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="placement method (default greedy)",
     )
 
-    p = sub.add_parser("coherence", help="Gram-matrix coherence diagnostics for a plan")
+    p = sub.add_parser("coherence", help="mutual-coherence diagnostics for a plan")
     add_common(p)
     p.add_argument("--plan", required=True, help="path to a placement plan file")
     p.add_argument("--sparsity", type=_int_list, default=[1], help="assumed sparsity levels for the advisory recovery bound")
@@ -135,7 +135,7 @@ def _cmd_coherence(args) -> int:
         lines.append(
             f"advisory bound factor (S={s}): mu^2*S*ln(M) = "
             f"{sensing.recovery_bound_factor(report, s):.6g} "
-            f"with {len(plan.chosen)} sensors for {report.gram.shape[0]} unknowns"
+            f"with {len(plan.chosen)} sensors for {report.columns} unknowns"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

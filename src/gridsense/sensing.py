@@ -24,7 +24,7 @@ _BOUND_PAIRS = 64
 
 @dataclass(frozen=True)
 class GramReport:
-    gram: np.ndarray
+    columns: int
     mutual_coherence: float
     zero_columns: tuple[int, ...]
 
@@ -91,48 +91,47 @@ def assemble_measurement_matrix(
 
 
 def gram_coherence(a) -> GramReport:
-    """Gram matrix of the column-normalized measurement matrix and its coherence.
-
-    Coherence is the largest off-diagonal magnitude of the normalized Gram
-    matrix; all-zero columns cannot be normalized, so they are excluded from
-    the maximum and reported separately, by 1-based column position.
-    """
+    """Mutual coherence of `a`, the largest |g| between distinct columns of its
+    column-normalized Gram matrix, and its all-zero columns (1-based), which
+    the maximum leaves out. A^T A on the column pairs is accumulated row by
+    row and the last row scored as the candidate, as greedy placement does,
+    so a greedy plan's rows give its trace bit for bit."""
     rows = np.asarray(a, dtype=float)
+    if rows.ndim != 2:
+        raise ValidationError(f"measurement matrix must be 2-D, got shape {rows.shape}")
     if rows.size == 0:
         raise ValidationError("empty measurement matrix")
+    if not np.isfinite(rows).all():
+        raise ValidationError("non-finite entries in the measurement matrix")
 
-    norms = np.linalg.norm(rows, axis=0)
+    m = rows.shape[1]
     zero_tol = _ZERO_COL_RTOL * max(1.0, float(np.abs(rows).max()))
-    nonzero = norms > zero_tol
+    zero_tol2 = zero_tol * zero_tol
+    iu, ju = np.triu_indices(m, 1)
+    ata_pairs, norms2 = np.zeros(iu.size), np.zeros(m)
+    _add_rows(ata_pairs, norms2, rows[:-1], iu, ju)
+    nonzero = norms2 + rows[-1] * rows[-1] > zero_tol2
     if not nonzero.any():
         raise ValidationError("all columns of the measurement matrix are zero")
 
-    safe = np.where(nonzero, norms, 1.0)
-    normalized = rows / safe
-    gram = normalized.T @ normalized
-
-    zero_cols = tuple((np.flatnonzero(~nonzero) + 1).tolist())
-    return GramReport(
-        gram=gram, mutual_coherence=_max_offdiag(gram, nonzero), zero_columns=zero_cols
-    )
+    mu = float(_pair_coherence(ata_pairs, norms2, rows[-1:], iu, ju, zero_tol2)[0])
+    return GramReport(m, mu, tuple((np.flatnonzero(~nonzero) + 1).tolist()))
 
 
-def _max_offdiag(gram: np.ndarray, nonzero: np.ndarray) -> float:
-    """Largest off-diagonal |g| between nonzero columns of a normalized Gram."""
-    mask = np.outer(nonzero, nonzero)
-    np.fill_diagonal(mask, False)
-    # normalized inner products exceed 1 only through rounding; clamp so the
-    # coherence stays a true cosine even for duplicated columns
-    return min(float(np.abs(gram[mask]).max()), 1.0) if mask.any() else 0.0
+def _add_rows(ata_pairs, norms2, rows, i, j) -> None:
+    """Add `rows`, in order, to A^T A on the pairs (i, j) and to A's squared column norms."""
+    for r in rows:
+        ata_pairs += r[i] * r[j]
+        norms2 += r * r
 
 
 def _pair_coherence(ata_pairs, norms2, rows, i, j, zero_tol2) -> np.ndarray:
     """Each row's largest normalized |g| on the column pairs (i, j) once it joins A.
 
     `ata_pairs` and `norms2` hold A^T A on those pairs and A's squared column
-    norms; adding row a maps them to ata_pairs + a[i] a[j] and norms2 + a^2.
-    Pairs touching a zero column count as 0, and the result clamps at 1.0 as
-    `_max_offdiag` does.
+    norms, and the row joins with `_add_rows`'s float operations. Pairs
+    touching a zero column count as 0; the 1.0 clamp keeps a true cosine
+    where rounding lifts a duplicated column's |g| above 1.
     """
     cand_norms2 = norms2 + rows * rows
     nonzero = cand_norms2 > zero_tol2
@@ -181,11 +180,10 @@ def greedy_place_sensors(model: ImpedanceModel, k: int) -> PlacementPlan:
     first = max(remaining, key=lambda b: (int((np.abs(z[b - 1]) > zero_tol).sum()), -b))
     remaining.remove(first)
     chosen = [first]
-    trace = [float(_pair_coherence(0.0, 0.0, z[first - 1 : first], iu, ju, zero_tol2)[0])]
+    ata_pairs, norms2 = np.zeros(iu.size), np.zeros(m)
+    trace = [float(_pair_coherence(ata_pairs, norms2, z[first - 1 : first], iu, ju, zero_tol2)[0])]
+    _add_rows(ata_pairs, norms2, z[first - 1 : first], iu, ju)
 
-    a0 = z[first - 1]
-    ata_pairs = a0[iu] * a0[ju]
-    norms2 = a0 * a0
     cut = iu.size - min(_BOUND_PAIRS, iu.size)
     for _ in range(1, k):
         safe = np.sqrt(np.where(norms2 > zero_tol2, norms2, 1.0))
@@ -205,9 +203,7 @@ def greedy_place_sensors(model: ImpedanceModel, k: int) -> PlacementPlan:
                 best_bus = b
         chosen.append(best_bus)
         remaining.remove(best_bus)
-        a = z[best_bus - 1]
-        ata_pairs += a[iu] * a[ju]
-        norms2 += a * a
+        _add_rows(ata_pairs, norms2, z[best_bus - 1 : best_bus], iu, ju)
         trace.append(best_obj)
 
     return PlacementPlan(
@@ -237,4 +233,4 @@ def recovery_bound_factor(report: GramReport, sparsity: int) -> float:
     if sparsity < 1:
         raise ValidationError("sparsity must be >= 1")
     mu = report.mutual_coherence
-    return mu * mu * sparsity * math.log(report.gram.shape[0])
+    return mu * mu * sparsity * math.log(report.columns)

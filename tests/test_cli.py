@@ -268,6 +268,7 @@ class TestReportBytesIeee9:
     # one BLAS thread or more, so the reports do too
     PINNED = {
         "plan.txt": "4d7da62b1bae6587c024196cfda019a8d25c66042590c94dd9b43cf48731c972",
+        "plan-random.txt": "5353ba20cb286495d03de7b6a954374ca09286c1864c652e9dc629262c048cc8",
         "coherence.txt": "dbf82cb4ffccd14d0f6d4fc8db654c28b9e33124b088dafa88df87234e588098",
         "estimate-lp.json": "0fc08fb32f81fc39bd5039f971edd4182cc16f5d775a17a74788a04e1933a8c4",
         "estimate-lp.txt": "5e487403135a38eb8eb22d9304b505360f835c74acd8860b1091e9738d8dde67",
@@ -290,6 +291,7 @@ class TestReportBytesIeee9:
 
         plan_path = str(tmp_path / "plan.txt")
         report("plan.txt", "place", "--meters", "7")
+        report("plan-random.txt", "place", "--placement", "random", "--meters", "5", "--seed", "3")
         report("coherence.txt", "coherence", "--plan", plan_path, "--sparsity", "1,2,3")
         chosen = PlacementPlan.from_text((tmp_path / "plan.txt").read_text()).chosen
         rows = ieee9_model.impedance[np.array(chosen) - 1]

@@ -142,14 +142,22 @@ class TestGramCoherence:
         with pytest.raises(ValidationError):
             gram_coherence(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("a", [[[math.nan, 1.0], [1.0, 1.0]], [[math.inf, 1.0], [1.0, 2.0]]])
+    def test_non_finite_error(self, a):
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            gram_coherence(np.array(a))
+
+    @pytest.mark.parametrize("a", [[1.0, 2.0], 3.0, np.ones((2, 2, 2))])
+    def test_not_two_dimensional_error(self, a):
+        with pytest.raises(ValidationError, match="must be 2-D"):
+            gram_coherence(a)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_gram_symmetric_unit_diagonal(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 6))
         report = gram_coherence(a)
-        assert np.allclose(report.gram, report.gram.T, atol=1e-12)
-        assert np.allclose(np.diag(report.gram), 1.0, atol=1e-12)
         assert 0.0 <= report.mutual_coherence <= 1.0 + 1e-12
 
     @settings(max_examples=50, deadline=None)
@@ -164,7 +172,6 @@ class TestGramCoherence:
         c = -scale if negate else scale
         base = gram_coherence(a)
         scaled = gram_coherence(c * a)
-        assert np.allclose(base.gram, scaled.gram, atol=1e-12)
         assert scaled.mutual_coherence == pytest.approx(base.mutual_coherence, abs=1e-12)
 
 
@@ -183,8 +190,8 @@ class TestGreedyPlacement:
     def test_exhaustive_equals_full_gram(self, ieee9_model):
         plan = greedy_place_sensors(ieee9_model, 9)
         assert sorted(plan.chosen) == list(range(1, 10))
-        full = gram_coherence(assemble_measurement_matrix(ieee9_model, sorted(plan.chosen)))
-        assert plan.final_coherence == pytest.approx(full.mutual_coherence, abs=1e-12)
+        full = gram_coherence(assemble_measurement_matrix(ieee9_model, plan.chosen))
+        assert plan.final_coherence == full.mutual_coherence
 
     def test_k_out_of_range(self, ieee9_model):
         with pytest.raises(ValidationError):
@@ -192,14 +199,16 @@ class TestGreedyPlacement:
         with pytest.raises(ValidationError):
             greedy_place_sensors(ieee9_model, 10)
 
-    def test_trace_internally_consistent(self, ieee9_model):
-        plan = greedy_place_sensors(ieee9_model, 5)
-        assert len(plan.objective_trace) == 5
-        for t in range(5):
-            mat = assemble_measurement_matrix(ieee9_model, plan.chosen[: t + 1])
-            step = gram_coherence(mat).mutual_coherence
-            assert plan.objective_trace[t] == pytest.approx(step, abs=1e-9)
-        assert plan.final_coherence == plan.objective_trace[-1]
+    def test_trace_internally_consistent(self, ieee9_model, ieee118_model):
+        # each trace entry is the coherence of the plan's first rows, bit for bit
+        for model, k in ((ieee9_model, 5), (ieee118_model, 20), (ieee118_model, 60),
+                         (ieee118_model, 90)):
+            plan = greedy_place_sensors(model, k)
+            assert len(plan.objective_trace) == k
+            for t in range(k):
+                mat = assemble_measurement_matrix(model, plan.chosen[: t + 1])
+                assert plan.objective_trace[t] == gram_coherence(mat).mutual_coherence
+            assert plan.final_coherence == plan.objective_trace[-1]
 
     def test_no_duplicates(self, ieee118_model):
         plan = greedy_place_sensors(ieee118_model, 20)
@@ -265,7 +274,10 @@ class TestGreedyMatchesReference:
             conductance=np.eye(m), impedance=z, folded_loads=(), condition_estimate=1.0
         )
         k = data.draw(st.integers(1, m), label="k")
-        assert_same_plan(greedy_place_sensors(model, k), _reference_greedy(model, k))
+        plan = greedy_place_sensors(model, k)
+        assert_same_plan(plan, _reference_greedy(model, k))
+        rows = z[np.array(plan.chosen) - 1]
+        assert gram_coherence(rows).mutual_coherence == plan.final_coherence
 
 
 class TestRandomPlacement:
