@@ -665,82 +665,66 @@ def constant_power_newton(
     if not meas.power_constraints:
         raise ValidationError("no power constraints to refine")
     power_buses = sorted(meas.power_constraints)
-    for b in power_buses:
-        if not 1 <= b <= m:
-            raise ValidationError(f"power bus {b} not in model")
-    for b in meas.known_injections:
-        if not 1 <= b <= m:
-            raise ValidationError(f"known injection bus {b} not in model")
+    for what, buses in (
+        ("power bus", power_buses),
+        ("known injection bus", meas.known_injections),
+        ("voltage reading bus", meas.voltage_readings),
+    ):
+        for b in buses:
+            if not 1 <= b <= m:
+                raise ValidationError(f"{what} {b} not in model")
     row_buses, v_meas = _voltage_rows(meas, meas.voltage_readings)
-    z_sel = z[np.array(row_buses) - 1] if row_buses else np.zeros((0, m))
-
-    current = np.asarray(initial.injections, dtype=float).copy()
+    current = np.array(initial.injections, dtype=float)
     if current.shape != (m,):
         raise ValidationError(f"initial estimate must have length {m}")
     for b, val in meas.known_injections.items():
         current[b - 1] = val
+    p_target = np.array([meas.power_constraints[b] for b in power_buses])
+    if not np.isfinite(np.concatenate([v_meas, p_target, current])).all():
+        raise ValidationError("non-finite entries in solver input")
 
+    # Z's voltage rows: the voltage residual's matrix and its Jacobian block
+    z_rows = z[np.array(row_buses, dtype=int) - 1]
+    power = np.array(power_buses) - 1
     # all-zero power entries give an identically zero Jacobian row; nudge them
-    for b in power_buses:
-        if abs(current[b - 1]) < 1e-12:
-            current[b - 1] = 1e-3
-
+    current[power[np.abs(current[power]) < 1e-12]] = 1e-3
     unknown = sorted(
         (set(initial.support) | set(power_buses)) - set(meas.known_injections)
     )
     cols = np.array(unknown) - 1
-    p_target = np.array([meas.power_constraints[b] for b in power_buses])
 
+    # the voltage part is Z_rows @ I, not (Z @ I)[rows]: BLAS sums a row with a
+    # kernel that depends on its position, so the two can differ in the last bit
     def residual(ivec):
         v = z @ ivec
-        parts = []
-        if row_buses:
-            parts.append(v_meas - z_sel @ ivec)
-        parts.append(p_target - v[np.array(power_buses) - 1] * ivec[np.array(power_buses) - 1])
-        return np.concatenate(parts)
+        return np.concatenate([v_meas - z_rows @ ivec, p_target - v[power] * ivec[power]])
 
     r = residual(current)
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.newton_max_iter + 1):
-        if np.linalg.norm(r) < cfg.newton_tol:
-            converged = True
+    # pass k tests the residual after k - 1 steps; the pass after the last
+    # step only tests it
+    for iterations in range(1, cfg.newton_max_iter + 2):
+        norm = float(np.linalg.norm(r))
+        converged = norm < cfg.newton_tol
+        if converged or iterations > cfg.newton_max_iter:
             break
-        jac_power = jacobian_power_rows(model, current, power_buses)
-        jac = np.vstack([z_sel, jac_power]) if row_buses else jac_power
-        jac_red = jac[:, cols]
-        step, *_ = np.linalg.lstsq(jac_red, r, rcond=None)
+        jac = np.vstack([z_rows, jacobian_power_rows(model, current, power_buses)])
+        step, *_ = np.linalg.lstsq(jac[:, cols], r, rcond=None)
         # backtracking damping on the residual norm
         t = 1.0
-        improved = False
-        base = np.linalg.norm(r)
         for _ in range(30):
             trial = current.copy()
             trial[cols] += t * step
             r_trial = residual(trial)
-            if np.linalg.norm(r_trial) < base:
-                current = trial
-                r = r_trial
-                improved = True
+            if np.linalg.norm(r_trial) < norm:
                 break
             t *= 0.5
-        if not improved:
-            est = _newton_result(current, r, iterations, False)
+        else:
             raise NewtonDivergenceError(
-                f"no damping step reduced the residual (||r|| = {base:.3e})", est
+                f"no damping step reduced the residual (||r|| = {norm:.3e})",
+                SparseEstimate(current, norm, iterations, False),
             )
-    if np.linalg.norm(r) < cfg.newton_tol:
-        converged = True
-    return _newton_result(current, r, iterations, converged)
-
-
-def _newton_result(current, r, iterations, converged):
-    return SparseEstimate(
-        injections=current.copy(),
-        residual_norm=float(np.linalg.norm(r)),
-        iterations_used=iterations,
-        converged=converged,
-    )
+        current, r = trial, r_trial
+    return SparseEstimate(current, norm, min(iterations, cfg.newton_max_iter), converged)
 
 
 def estimate_state(

@@ -95,6 +95,35 @@ def trial_snapshot(spec, trial: int) -> MeasurementSet:
     )
 
 
+# the 9-bus greedy plans for 8 and 7 meters
+IEEE9_GREEDY8 = (1, 2, 3, 5, 7, 9, 4, 8)
+IEEE9_GREEDY7 = IEEE9_GREEDY8[:7]
+
+
+def ieee9_power_snapshot(model, buses, currents, sources=()) -> MeasurementSet:
+    """Noiseless 9-bus snapshot with a constant-power load drawing 1 at bus 5.
+
+    The injections are `currents` (bus -> current) plus the load. Readings
+    are taken at `buses` and at the regulated `sources`, and the load's
+    constraint is P5 = V5 * I5.
+    """
+    i_true = np.zeros(model.size)
+    for b, val in {**currents, 5: -1.0}.items():
+        i_true[b - 1] = val
+    v = model.impedance @ i_true
+    return MeasurementSet(
+        voltage_readings={b: v[b - 1] for b in sorted(set(buses) | set(sources))},
+        power_constraints={5: v[4] * i_true[4]},
+        voltage_source_buses=frozenset(sources),
+    )
+
+
+# on the greedy-8 plan the refinement diverges; on the greedy-7 plan, with a
+# regulated source at bus 8, it converges
+IEEE9_DIVERGING_POWER = (IEEE9_GREEDY8, {3: 1.0, 6: -1.0}, ())
+IEEE9_CONVERGING_POWER = (IEEE9_GREEDY7, {3: 1.0, 8: 1.0}, (8,))
+
+
 @pytest.fixture(scope="session")
 def ieee118_network():
     return load_network(bundled_case_path("ieee118.case"))

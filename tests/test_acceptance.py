@@ -29,6 +29,7 @@ from gridsense import (
     greedy_place_sensors,
     invert_to_impedance,
     jacobian_power_rows,
+    load_network,
     min_energy,
     random_place_sensors,
     run_benchmark,
@@ -37,7 +38,12 @@ from gridsense import (
 from gridsense.cli import run_cli
 from gridsense.recon import SparseEstimate
 
-from conftest import random_connected_network, solve_l0_oracle
+from conftest import (
+    IEEE9_CONVERGING_POWER,
+    ieee9_power_snapshot,
+    random_connected_network,
+    solve_l0_oracle,
+)
 
 
 # A 6x12 unit-column frame with mutual coherence 0.3162, precomputed offline by
@@ -313,22 +319,43 @@ class TestThreadReproducibility:
             )
         assert outputs["1"] == outputs["8"]
 
-    def test_ieee118_campaign_byte_identical_across_blas_threads(self, tmp_path):
-        # Z and the LP answers take no BLAS reduction, so the 118-bus reports
-        # have the same bytes with one or two OpenBLAS threads; the thread
-        # count is fixed when an interpreter starts, hence the subprocesses
+    @staticmethod
+    def report_digests_across_blas_threads(tmp_path, *argv):
+        """sha256 of the report of `gridsense argv --out ...` run with one and
+        with two OpenBLAS threads. The thread count is fixed when an
+        interpreter starts, hence the subprocesses."""
         src = os.path.dirname(os.path.dirname(gridsense.__file__))
         runs = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
             target = tmp_path / f"r{threads}.json"
-            argv = [
-                sys.executable, "-m", "gridsense.cli", "bench",
-                "--case", str(bundled_case_path("ieee118.case")), "--meters", "30,60",
-                "--sparsity", "2,5", "--noise", "0,0.01", "--trials", "40", "--seed", "3",
-                "--estimator", "both", "--placement", "greedy,random", "--out", str(target),
-            ]
-            runs[target] = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+            cmd = [sys.executable, "-m", "gridsense.cli", *argv, "--out", str(target)]
+            runs[target] = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
         assert [proc.wait(timeout=300) for proc in runs.values()] == [0, 0]
-        assert len({hashlib.sha256(t.read_bytes()).hexdigest() for t in runs}) == 1
+        return {hashlib.sha256(t.read_bytes()).hexdigest() for t in runs}
+
+    def test_ieee118_campaign_byte_identical_across_blas_threads(self, tmp_path):
+        # Z and the LP answers take no BLAS reduction, so the 118-bus reports
+        # have the same bytes with one or two OpenBLAS threads
+        digests = self.report_digests_across_blas_threads(
+            tmp_path, "bench",
+            "--case", str(bundled_case_path("ieee118.case")), "--meters", "30,60",
+            "--sparsity", "2,5", "--noise", "0,0.01", "--trials", "40", "--seed", "3",
+            "--estimator", "both", "--placement", "greedy,random",
+        )
+        assert len(digests) == 1
+
+    def test_constant_power_estimate_byte_identical_across_blas_threads(self, tmp_path):
+        # the Newton refinement's products and least-squares steps give the
+        # same bits with one or two OpenBLAS threads
+        model = build_impedance_model(load_network(bundled_case_path("ieee9.case")))
+        buses, currents, sources = IEEE9_CONVERGING_POWER
+        (tmp_path / "plan.txt").write_text(greedy_place_sensors(model, len(buses)).to_text())
+        snapshot = ieee9_power_snapshot(model, buses, currents, sources)
+        (tmp_path / "snap.meas").write_text(snapshot.to_text())
+        digests = self.report_digests_across_blas_threads(
+            tmp_path, "estimate", "--case", str(bundled_case_path("ieee9.case")),
+            "--plan", str(tmp_path / "plan.txt"), "--snapshot", str(tmp_path / "snap.meas"),
+        )
+        assert len(digests) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -30,7 +31,12 @@ from gridsense.cli import (
     run_cli,
 )
 
-from conftest import trial_snapshot
+from conftest import (
+    IEEE9_CONVERGING_POWER,
+    IEEE9_DIVERGING_POWER,
+    ieee9_power_snapshot,
+    trial_snapshot,
+)
 
 IEEE9 = str(bundled_case_path("ieee9.case"))
 IEEE118 = str(bundled_case_path("ieee118.case"))
@@ -278,6 +284,12 @@ class TestReportBytesIeee9:
         "estimate-homotopy.txt": (
             "b3d606f5a90a31b34be0975eee1ee17c5b441afe2cce7a2c84874b4babf5acb2"
         ),
+        "estimate-power.json": (
+            "07dbdbb9eaaaf5e95324357bc51e5ec6c89cb4c389858f8325858dec6b232dbe"
+        ),
+        "estimate-power.txt": (
+            "fda60c113a015dd648d8e059bd80ed5ca8288ce51667e0d6e485d296133f3ee7"
+        ),
         "bench.json": "31b064f1d4f184ab29bd2bebf4849696e31882d13c60422260460994c02f0b8c",
     }
 
@@ -310,6 +322,8 @@ class TestReportBytesIeee9:
                 ),
                 "0.01",
             ),
+            # a constant-power load refined by Newton, with a regulated source
+            "power": (ieee9_power_snapshot(ieee9_model, chosen, *IEEE9_CONVERGING_POWER[1:]), "0"),
         }
         for key, (meas, eps) in snapshots.items():
             snap_path = tmp_path / f"{key}.meas"
@@ -325,6 +339,7 @@ class TestReportBytesIeee9:
         )
         assert digests == self.PINNED
         assert "support: 4 6\n" in (tmp_path / "estimate-lp.txt").read_text()
+        assert "support: 3 5 8\n" in (tmp_path / "estimate-power.txt").read_text()
         assert "support: 1 2 3 6 7 9\n" in (tmp_path / "estimate-homotopy.txt").read_text()
 
 
@@ -400,6 +415,53 @@ class TestEstimateNotConverged:
         assert (payload["converged"], payload["route"], payload["iterations_used"]) == (
             False, "fallback", 0,
         )
+
+
+class TestEstimateConstantPower:
+    """`estimate` on 9-bus snapshots with a constant-power load at bus 5."""
+
+    def argv(self, tmp_path, buses, snapshot_text):
+        plan_path = write_plan(tmp_path / "plan.txt", buses)
+        snap_path = tmp_path / "snap.meas"
+        snap_path.write_text(snapshot_text)
+        return ["estimate", "--case", IEEE9, "--plan", str(plan_path), "--snapshot", str(snap_path)]
+
+    def test_divergence_exits_1(self, capsys, tmp_path, ieee9_model):
+        buses, currents, sources = IEEE9_DIVERGING_POWER
+        meas = ieee9_power_snapshot(ieee9_model, buses, currents, sources)
+        code, out, err = run(capsys, *self.argv(tmp_path, buses, meas.to_text()))
+        assert code == EXIT_DATA
+        assert err == "gridsense: error: no damping step reduced the residual (||r|| = 1.843e-02)\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_power_constraint(self, capsys, tmp_path, ieee9_model, value):
+        buses, currents, sources = IEEE9_CONVERGING_POWER
+        meas = ieee9_power_snapshot(ieee9_model, buses, currents, sources)
+        text = dataclasses.replace(meas, power_constraints={5: float(value)}).to_text()
+        assert f"[power_constraints]\n5 {value}\n" in text
+        code, out, err = run(capsys, *self.argv(tmp_path, buses, text))
+        assert code == EXIT_DATA
+        assert err == "gridsense: error: non-finite entries in solver input\n"
+        assert out == ""
+
+    def test_regulated_source_converges(self, capsys, tmp_path, ieee9_model):
+        buses, currents, sources = IEEE9_CONVERGING_POWER
+        text = ieee9_power_snapshot(ieee9_model, buses, currents, sources).to_text()
+        assert "[voltage_sources]\n8\n" in text
+        target = tmp_path / "est.json"
+        code, _, _ = run(capsys, *self.argv(tmp_path, buses, text), "--out", str(target))
+        assert code == EXIT_OK
+        payload = json.loads(target.read_text())
+        plan = PlacementPlan.from_text((tmp_path / "plan.txt").read_text())
+        want = estimate_state(ieee9_model, MeasurementSet.from_text(text), plan, SolverConfig())
+        got = np.array([payload["injections"][str(b)] for b in range(1, 10)])
+        assert got.tobytes() == want.injections.tobytes()
+        assert payload["residual_norm"].hex() == want.residual_norm.hex()
+        assert (payload["iterations_used"], payload["converged"], payload["route"]) == (
+            want.iterations_used, True, "lp",
+        )
+        assert payload["support"] == [3, 5, 8]
 
 
 class TestBench:

@@ -42,8 +42,14 @@ import gridsense
 from gridsense import recon
 from gridsense.recon import SparseEstimate
 
-from conftest import random_connected_network, solve_l0_oracle
+from conftest import (
+    IEEE9_DIVERGING_POWER,
+    ieee9_power_snapshot,
+    random_connected_network,
+    solve_l0_oracle,
+)
 from gridsense import build_impedance_model
+from gridsense.harness import INJECTION_RANGE
 
 TWO_BUS_Z = invert_to_impedance(np.array([[1.0, -1.0], [-1.0, 2.0]]))  # Z=[[2,1],[1,1]]
 SCALAR_Z2 = invert_to_impedance(np.array([[0.5]]))  # Z=[[2]]
@@ -1291,6 +1297,188 @@ class TestConstantPowerNewton:
         )
         with pytest.raises(ValidationError, match=f"known injection bus {bus} not in model"):
             constant_power_newton(TWO_BUS_Z, meas, SolverConfig(), initial)
+
+    # bus 0 once read bus 9's row and diverged; bus 10 raised IndexError
+    @pytest.mark.parametrize("bus", [0, 10])
+    def test_unknown_voltage_reading_bus(self, ieee9_model, bus):
+        meas = MeasurementSet(voltage_readings={bus: 1.0}, power_constraints={1: 0.5})
+        initial = SparseEstimate(np.ones(9), 0.0, 0, True)
+        with pytest.raises(ValidationError, match=f"voltage reading bus {bus} not in model"):
+            constant_power_newton(ieee9_model, meas, SolverConfig(), initial)
+
+    # a non-finite input was once reported as a divergence with ||r|| = nan
+    @pytest.mark.parametrize(
+        "section, bus, value",
+        [
+            ("voltage_readings", 2, np.nan),
+            ("power_constraints", 5, np.inf),
+            ("known_injections", 3, -np.inf),
+            ("initial", 7, np.nan),
+        ],
+    )
+    def test_non_finite_input(self, ieee9_model, section, bus, value):
+        fields = {
+            "voltage_readings": {1: 0.1, 2: 0.2},
+            "known_injections": {3: 0.5},
+            "power_constraints": {5: -0.3},
+            "initial": dict.fromkeys(range(1, 10), 0.1),
+        }
+        fields[section][bus] = value
+        initial = SparseEstimate(np.array(list(fields.pop("initial").values())), 0.0, 0, True)
+        with pytest.raises(ValidationError, match="non-finite entries in solver input"):
+            constant_power_newton(ieee9_model, MeasurementSet(**fields), SolverConfig(), initial)
+
+    def test_divergence_carries_the_last_iterate(self, ieee9_model):
+        buses, currents, sources = IEEE9_DIVERGING_POWER
+        meas = ieee9_power_snapshot(ieee9_model, buses, currents, sources)
+        with pytest.raises(NewtonDivergenceError) as caught:
+            estimate_state(ieee9_model, meas, plan_for(buses), SolverConfig())
+        last = caught.value.estimate
+        assert str(caught.value) == (
+            f"no damping step reduced the residual (||r|| = {last.residual_norm:.3e})"
+        )
+        assert f"{last.residual_norm:.3e}" == "1.843e-02"
+        assert not last.converged
+        assert 1 <= last.iterations_used <= SolverConfig.newton_max_iter
+        assert np.isfinite(last.injections).all()
+
+
+def _reference_newton_result(current, r, iterations, converged):
+    return SparseEstimate(
+        injections=current.copy(),
+        residual_norm=float(np.linalg.norm(r)),
+        iterations_used=iterations,
+        converged=converged,
+    )
+
+
+def _reference_constant_power_newton(model, meas, cfg, initial):
+    """constant_power_newton as it was before its one-pass rewrite, kept verbatim.
+
+    The test-only oracle for the refinement's bits: it checks the power-bus
+    ids in its own loop, evaluates the voltage residual as Z_sel @ I beside
+    V = Z @ I, and tests convergence inside and after the loop.
+    """
+    m = model.size
+    z = model.impedance
+    if not meas.power_constraints:
+        raise ValidationError("no power constraints to refine")
+    power_buses = sorted(meas.power_constraints)
+    for b in power_buses:
+        if not 1 <= b <= m:
+            raise ValidationError(f"power bus {b} not in model")
+    for b in meas.known_injections:
+        if not 1 <= b <= m:
+            raise ValidationError(f"known injection bus {b} not in model")
+    row_buses, v_meas = recon._voltage_rows(meas, meas.voltage_readings)
+    z_sel = z[np.array(row_buses) - 1] if row_buses else np.zeros((0, m))
+
+    current = np.asarray(initial.injections, dtype=float).copy()
+    if current.shape != (m,):
+        raise ValidationError(f"initial estimate must have length {m}")
+    for b, val in meas.known_injections.items():
+        current[b - 1] = val
+
+    # all-zero power entries give an identically zero Jacobian row; nudge them
+    for b in power_buses:
+        if abs(current[b - 1]) < 1e-12:
+            current[b - 1] = 1e-3
+
+    unknown = sorted(
+        (set(initial.support) | set(power_buses)) - set(meas.known_injections)
+    )
+    cols = np.array(unknown) - 1
+    p_target = np.array([meas.power_constraints[b] for b in power_buses])
+
+    def residual(ivec):
+        v = z @ ivec
+        parts = []
+        if row_buses:
+            parts.append(v_meas - z_sel @ ivec)
+        parts.append(p_target - v[np.array(power_buses) - 1] * ivec[np.array(power_buses) - 1])
+        return np.concatenate(parts)
+
+    r = residual(current)
+    converged = False
+    iterations = 0
+    for iterations in range(1, cfg.newton_max_iter + 1):
+        if np.linalg.norm(r) < cfg.newton_tol:
+            converged = True
+            break
+        jac_power = jacobian_power_rows(model, current, power_buses)
+        jac = np.vstack([z_sel, jac_power]) if row_buses else jac_power
+        jac_red = jac[:, cols]
+        step, *_ = np.linalg.lstsq(jac_red, r, rcond=None)
+        # backtracking damping on the residual norm
+        t = 1.0
+        improved = False
+        base = np.linalg.norm(r)
+        for _ in range(30):
+            trial = current.copy()
+            trial[cols] += t * step
+            r_trial = residual(trial)
+            if np.linalg.norm(r_trial) < base:
+                current = trial
+                r = r_trial
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            est = _reference_newton_result(current, r, iterations, False)
+            raise NewtonDivergenceError(
+                f"no damping step reduced the residual (||r|| = {base:.3e})", est
+            )
+    if np.linalg.norm(r) < cfg.newton_tol:
+        converged = True
+    return _reference_newton_result(current, r, iterations, converged)
+
+
+def _constant_power_snapshots(model, plan, load_bus, count, seed):
+    """count noiseless snapshots, each of two injections away from load_bus
+    (random signs, magnitudes in INJECTION_RANGE) and a load at load_bus that
+    draws a current in INJECTION_RANGE, with its constraint P = V * I."""
+    rng = np.random.default_rng(seed)
+    m = model.size
+    others = np.array([b for b in range(1, m + 1) if b != load_bus])
+    for _ in range(count):
+        i_true = np.zeros(m)
+        support = rng.choice(others, 2, replace=False)
+        i_true[support - 1] = rng.choice([-1.0, 1.0], 2) * rng.uniform(*INJECTION_RANGE, 2)
+        i_true[load_bus - 1] = -rng.uniform(*INJECTION_RANGE)
+        v = model.impedance @ i_true
+        yield MeasurementSet(
+            voltage_readings={b: v[b - 1] for b in plan.chosen},
+            power_constraints={load_bus: v[load_bus - 1] * i_true[load_bus - 1]},
+        )
+
+
+class TestNewtonMatchesReference:
+    """The one-pass refinement gives the reference's bits: the same answers
+    and, where the reference diverges, the same error and last iterate."""
+
+    @pytest.mark.parametrize(
+        "case, meters, load_bus, diverged", [("ieee9", 8, 5, 12), ("ieee118", 90, 45, 0)]
+    )
+    def test_bits_and_divergences(self, request, case, meters, load_bus, diverged):
+        model = request.getfixturevalue(f"{case}_model")
+        plan = greedy_place_sensors(model, meters)
+        cfg = SolverConfig()
+        failures = 0
+        for meas in _constant_power_snapshots(model, plan, load_bus, 100, seed=7):
+            initial = estimate_state(
+                model, dataclasses.replace(meas, power_constraints={}), plan, cfg
+            )
+            try:
+                want = _reference_constant_power_newton(model, meas, cfg, initial)
+            except NewtonDivergenceError as exc:
+                with pytest.raises(NewtonDivergenceError) as caught:
+                    constant_power_newton(model, meas, cfg, initial)
+                assert str(caught.value) == str(exc)
+                _assert_same_estimate(caught.value.estimate, exc.estimate)
+                failures += 1
+            else:
+                _assert_same_estimate(constant_power_newton(model, meas, cfg, initial), want)
+        assert failures == diverged
 
 
 class TestMeasurementSet:
