@@ -13,7 +13,6 @@ from .network import (
     ValidationError,
     build_conductance_matrix,
     build_impedance_model,
-    fold_constant_resistance_loads,
     invert_to_impedance,
     load_network,
 )

@@ -102,7 +102,7 @@ def _cmd_inspect(args) -> int:
         f"buses: {net.size}",
         f"branches: {len(net.branches)}",
         f"devices: " + (", ".join(f"{k}={v}" for k, v in sorted(kinds.items())) or "none"),
-        f"folded loads: {len(model.folded_loads)}",
+        f"folded loads: {kinds.get('constant_resistance_load', 0)}",
         f"condition estimate: {model.condition_estimate:.6g} "
         f"(ceiling {network.CONDITION_CEILING:.6g})",
         f"Z diagonal range: [{z_diag.min():.6g}, {z_diag.max():.6g}]",

@@ -76,9 +76,7 @@ class DcNetwork:
 # eq=False: models compare and hash by identity, which keys recon's memo
 @dataclass(frozen=True, eq=False)
 class ImpedanceModel:
-    conductance: np.ndarray
     impedance: np.ndarray
-    folded_loads: tuple[tuple[int, float], ...]
     condition_estimate: float
 
     @property
@@ -216,7 +214,8 @@ def _read_text(source) -> str:
 
 
 def build_conductance_matrix(net: DcNetwork) -> np.ndarray:
-    """Nodal conductance matrix; load folding not yet applied."""
+    """Nodal conductance matrix G: branches, then resistances to ground on the
+    diagonal: bus shunts in bus order, then constant-resistance loads in device order."""
     m = net.size
     g = np.zeros((m, m))
     for br in net.branches:
@@ -229,28 +228,12 @@ def build_conductance_matrix(net: DcNetwork) -> np.ndarray:
     for b in net.buses:
         if b.shunt_resistance is not None:
             g[b.id - 1, b.id - 1] += 1.0 / b.shunt_resistance
+    for d in net.devices_of_kind("constant_resistance_load"):
+        g[d.bus - 1, d.bus - 1] += 1.0 / d.value
     return g
 
 
-def fold_constant_resistance_loads(
-    g: np.ndarray, net: DcNetwork
-) -> tuple[np.ndarray, tuple[tuple[int, float], ...]]:
-    """Absorb constant-resistance loads into the diagonal of G.
-
-    Returns the folded matrix and the (bus, resistance) record of the folds.
-    """
-    folded = g.copy()
-    record = []
-    for d in net.devices_of_kind("constant_resistance_load"):
-        folded[d.bus - 1, d.bus - 1] += 1.0 / d.value
-        record.append((d.bus, d.value))
-    return folded, tuple(record)
-
-
-def invert_to_impedance(
-    g: np.ndarray,
-    folded_loads: tuple[tuple[int, float], ...] = (),
-) -> ImpedanceModel:
+def invert_to_impedance(g: np.ndarray) -> ImpedanceModel:
     """Invert the conductance matrix to the bus impedance matrix Z = G^-1.
 
     Z comes from Gauss-Jordan elimination on G's diagonal pivots, which a
@@ -289,14 +272,9 @@ def invert_to_impedance(
         raise SingularModelError(
             f"inverse verification failed: max |ZG - I| = {residual:.3e}"
         )
-    return ImpedanceModel(
-        conductance=g, impedance=z, folded_loads=tuple(folded_loads),
-        condition_estimate=cond,
-    )
+    return ImpedanceModel(impedance=z, condition_estimate=cond)
 
 
 def build_impedance_model(net: DcNetwork) -> ImpedanceModel:
-    """Full pipeline: assemble G, fold loads, invert to Z."""
-    g = build_conductance_matrix(net)
-    g, folds = fold_constant_resistance_loads(g, net)
-    return invert_to_impedance(g, folds)
+    """Full pipeline: assemble G, invert to Z."""
+    return invert_to_impedance(build_conductance_matrix(net))

@@ -379,8 +379,8 @@ def _bpdn_homotopy(an, y, eps, max_steps):
     yields the constrained optimum directly. Returns (beta, residual, steps)
     or None when the walk gives up, and the caller then returns the
     least-squares point, not converged: no event and no crossing (no point
-    lies within eps), an empty active set, max_steps used, or a crossing
-    point that fails the KKT certificate.
+    lies within eps), max_steps used, or a crossing point that fails the
+    KKT certificate.
 
     Each step takes one SVD of the active columns A_S and reads both segment
     solves from it, on the same singular values s > 1e-11 s_max: phi =
@@ -406,9 +406,9 @@ def _bpdn_homotopy(an, y, eps, max_steps):
     active: list[int] = [mags.index(lam)]
     signs: list[float] = [1.0 if c0[active[0]] > 0 else -1.0]
     tiny = 1e-13 * max(1.0, lam)
-    # the index involved in the most recent event has a candidate event
-    # sitting exactly at the segment's starting lam; only that spurious
-    # re-fire is suppressed, a genuine later event for it stays allowed
+    # the index of the most recent event has a candidate sitting exactly at
+    # the segment's starting lam; only its spurious re-add is suppressed (an
+    # active one was added with sign * psi > 0, which the drop scan skips)
     barred = active[0]
     # indices whose add at the current lam was undone: wrong-signed there
     skip: set[int] = set()
@@ -465,8 +465,6 @@ def _bpdn_homotopy(an, y, eps, max_steps):
             if abs(q) < tiny or sign * q > 0:
                 continue
             cand = p / q
-            if j == barred and cand > near:
-                continue
             if tiny < cand <= top and cand > lam_next:
                 lam_next = min(cand, lam)
                 event = (False, j, 0.0)
@@ -521,8 +519,6 @@ def _bpdn_homotopy(an, y, eps, max_steps):
             pos = active.index(j)
             active.pop(pos)
             signs.pop(pos)
-            if not active:
-                return None
     return None
 
 
@@ -658,7 +654,8 @@ def constant_power_newton(
     Stacks the linear voltage residuals with the nonlinear power residuals
     P_k - V_k(I) * I_k and iterates on the unknown currents restricted to the
     initial estimate's support plus the power buses. Known injections stay
-    fixed. Each step solves the linearized system in the minimum-norm sense.
+    fixed. Each step solves the linearized system in the minimum-norm sense,
+    and iterations_used counts the steps taken.
     """
     m = model.size
     z = model.impedance
@@ -700,12 +697,12 @@ def constant_power_newton(
         return np.concatenate([v_meas - z_rows @ ivec, p_target - v[power] * ivec[power]])
 
     r = residual(current)
-    # pass k tests the residual after k - 1 steps; the pass after the last
-    # step only tests it
-    for iterations in range(1, cfg.newton_max_iter + 2):
+    # each pass tests the residual after `steps` steps; the pass after the
+    # last step only tests it
+    for steps in range(cfg.newton_max_iter + 1):
         norm = float(np.linalg.norm(r))
         converged = norm < cfg.newton_tol
-        if converged or iterations > cfg.newton_max_iter:
+        if converged or steps == cfg.newton_max_iter:
             break
         jac = np.vstack([z_rows, jacobian_power_rows(model, current, power_buses)])
         step, *_ = np.linalg.lstsq(jac[:, cols], r, rcond=None)
@@ -721,10 +718,10 @@ def constant_power_newton(
         else:
             raise NewtonDivergenceError(
                 f"no damping step reduced the residual (||r|| = {norm:.3e})",
-                SparseEstimate(current, norm, iterations, False),
+                SparseEstimate(current, norm, steps, False),
             )
         current, r = trial, r_trial
-    return SparseEstimate(current, norm, min(iterations, cfg.newton_max_iter), converged)
+    return SparseEstimate(current, norm, steps, converged)
 
 
 def estimate_state(

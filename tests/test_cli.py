@@ -285,10 +285,10 @@ class TestReportBytesIeee9:
             "b3d606f5a90a31b34be0975eee1ee17c5b441afe2cce7a2c84874b4babf5acb2"
         ),
         "estimate-power.json": (
-            "07dbdbb9eaaaf5e95324357bc51e5ec6c89cb4c389858f8325858dec6b232dbe"
+            "8e2165693812ba21dfaa3e174a5f5c9701bf60b058c713f721e8cfa72c6bcc38"
         ),
         "estimate-power.txt": (
-            "fda60c113a015dd648d8e059bd80ed5ca8288ce51667e0d6e485d296133f3ee7"
+            "30a1d888597bf6bddf5fa173c5b92a6ef02f598ba85d150df1ebfb69e7439722"
         ),
         "bench.json": "31b064f1d4f184ab29bd2bebf4849696e31882d13c60422260460994c02f0b8c",
     }
@@ -558,6 +558,15 @@ class TestBench:
             "--placement", "optimal", "--trials", "1",
         )
         assert code == EXIT_DATA
+
+    def test_no_placement_methods(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--case", IEEE9, "--meters", "7", "--sparsity", "1",
+            "--placement", ",", "--trials", "1",
+        )
+        assert code == EXIT_DATA
+        assert "no placement methods given" in err
+        assert out == ""
 
     def test_byte_identical_repeat_runs(self, capsys, tmp_path):
         targets = []

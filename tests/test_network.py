@@ -1,4 +1,4 @@
-"""Case parsing, conductance assembly, load folding, and impedance inversion."""
+"""Case parsing, conductance assembly and impedance inversion."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from gridsense import (
     build_conductance_matrix,
     build_impedance_model,
     bundled_case_path,
-    fold_constant_resistance_loads,
     invert_to_impedance,
     load_network,
 )
@@ -69,6 +68,22 @@ class TestLoadNetwork:
         text = "# comment\n" + TWO_BUS_CASE.replace("[branches]", "# mid\n[branches]")
         assert load_network(text).size == 2
 
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("buses", "1 a 1.0 2", "expected: id [name] [shunt_resistance]"),
+            ("devices", "1 current_source", "expected: bus kind value"),
+        ],
+    )
+    def test_wrong_token_count(self, section, line, message):
+        text = f"gridsense-case v1\n[{section}]\n{line}\n"
+        with pytest.raises(CaseParseError, match=re.escape(f"line 3: {message}")):
+            load_network(text)
+
+    def test_unsupported_source(self):
+        with pytest.raises(TypeError, match="unsupported case source <class 'int'>"):
+            load_network(42)
+
     def test_relative_path_named_like_header(self, tmp_path, monkeypatch):
         shutil.copy(bundled_case_path("ieee9.case"), tmp_path / "gridsense-ieee9.case")
         monkeypatch.chdir(tmp_path)
@@ -76,6 +91,19 @@ class TestLoadNetwork:
 
 
 class TestNetworkValidation:
+    def test_no_buses(self):
+        with pytest.raises(ValidationError, match="network has no buses"):
+            DcNetwork((), ())
+
+    def test_zero_shunt(self):
+        with pytest.raises(ValidationError, match="bus 1: shunt resistance must be > 0"):
+            DcNetwork((Bus(id=1, shunt_resistance=0.0),), ())
+
+    def test_device_on_unknown_bus(self):
+        buses = (Bus(id=1, shunt_resistance=1.0),)
+        with pytest.raises(ValidationError, match="device references unknown bus 5"):
+            DcNetwork(buses, (), (InjectionDevice(5, "current_source", 1.0),))
+
     def test_non_contiguous_ids(self):
         with pytest.raises(ValidationError):
             DcNetwork((Bus(id=1), Bus(id=3)), (Branch(1, 3, 1.0),))
@@ -134,25 +162,13 @@ class TestBuildConductance:
         g = build_conductance_matrix(net)
         assert np.allclose(g, [[3.0, -2.0], [-2.0, 2.0]])
 
-
-class TestFoldLoads:
-    def test_fold_adds_to_diagonal(self):
+    def test_load_joins_the_diagonal(self):
         net = DcNetwork(
             (Bus(id=1), Bus(id=2, shunt_resistance=1.0)),
             (Branch(1, 2, 1.0),),
             (InjectionDevice(1, "constant_resistance_load", 1.0),),
         )
-        g = build_conductance_matrix(net)
-        folded, record = fold_constant_resistance_loads(g, net)
-        assert np.allclose(g, [[1.0, -1.0], [-1.0, 2.0]])  # input untouched
-        assert np.allclose(folded, [[2.0, -1.0], [-1.0, 2.0]])
-        assert record == ((1, 1.0),)
-
-    def test_no_loads_identity(self, two_bus_network):
-        g = build_conductance_matrix(two_bus_network)
-        folded, record = fold_constant_resistance_loads(g, two_bus_network)
-        assert np.array_equal(folded, g)
-        assert record == ()
+        assert np.allclose(build_conductance_matrix(net), [[2.0, -1.0], [-1.0, 2.0]])
 
 
 class TestInvertToImpedance:
@@ -184,8 +200,13 @@ class TestInvertToImpedance:
     @pytest.mark.parametrize("fixture", ["ieee9_model", "ieee118_model"])
     def test_matches_lapack_inverse(self, fixture, request):
         model = request.getfixturevalue(fixture)
-        z = np.linalg.inv(model.conductance)
+        g = build_conductance_matrix(request.getfixturevalue(fixture.replace("model", "network")))
+        z = np.linalg.inv(g)
         assert np.abs(model.impedance - z).max() <= 1e-14 * np.abs(z).max()
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValidationError, match="conductance matrix must be square"):
+            invert_to_impedance(np.ones((2, 3)))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValidationError):
@@ -206,7 +227,8 @@ class TestModelInvariants:
     @pytest.mark.parametrize("fixture", ["ieee9_model", "ieee118_model"])
     def test_inverse_identity_residual(self, fixture, request):
         model = request.getfixturevalue(fixture)
-        resid = np.abs(model.impedance @ model.conductance - np.eye(model.size)).max()
+        g = build_conductance_matrix(request.getfixturevalue(fixture.replace("model", "network")))
+        resid = np.abs(model.impedance @ g - np.eye(model.size)).max()
         assert resid < 1e-8
 
     def test_ieee118_conditioning(self, ieee118_model):
@@ -277,4 +299,3 @@ class TestModelInvariants:
         oracle_g[load_bus - 1, load_bus - 1] += 1 / load_r
         oracle_z = np.linalg.solve(oracle_g, np.eye(m))
         assert np.allclose(model.impedance, oracle_z, rtol=1e-9, atol=1e-12)
-        assert model.folded_loads == ((load_bus, load_r),)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -226,6 +227,10 @@ class TestSolveBpdn:
     def test_empty_matrix_error(self):
         with pytest.raises(ValidationError):
             solve_bpdn(np.zeros((0, 0)), np.zeros(0), SolverConfig())
+
+    def test_non_finite_readings_error(self):
+        with pytest.raises(ValidationError, match="non-finite entries in solver input"):
+            solve_bpdn(np.eye(2), [np.nan, 1.0], SolverConfig())
 
     def test_residual_within_epsilon(self):
         rng = np.random.default_rng(7)
@@ -621,6 +626,20 @@ class TestBpLpKeptModel:
         self.assert_fresh_answers(after)
         TestBpLpOracle.assert_matches_linprog(after)
 
+    def test_non_finite_duals_pass_the_model_again(self, monkeypatch, counted_solver):
+        # row duals HiGHS returns as infinite are no answer: that solve falls
+        # back, and the next one passes the model again
+        a = np.random.default_rng(24).standard_normal((5, 10))
+        problem = recon.BpdnProblem(a)
+        cfg = SolverConfig(epsilon=0.0)
+        ys = _sparse_rhs(a, 3, seed=25)
+        assert problem.solve(ys[0], cfg).route == "lp"
+        infinite = types.SimpleNamespace(row_dual=np.full(10, np.inf))
+        monkeypatch.setattr(counted_solver, "getSolution", lambda: infinite, raising=False)
+        assert problem.solve(ys[1], cfg).route == "fallback"
+        monkeypatch.delattr(counted_solver, "getSolution")
+        assert problem.solve(ys[2], cfg).route == "lp"
+        assert counted_solver.passes == 2
 
     def test_iterations_are_the_simplex_count(self, ieee118_model):
         a = ieee118_model.impedance[:60]
@@ -1047,6 +1066,18 @@ class TestHomotopyTies:
         _assert_lasso_kkt(*args[:3], *out[:2])
 
 
+class TestHomotopyStepBudget:
+    def test_gives_up_when_the_steps_run_out(self):
+        # this walk ends at its 4th step; a budget of fewer steps gives up
+        a = np.random.default_rng(3).standard_normal((4, 6))
+        an = a / np.linalg.norm(a, axis=0)
+        y = an[:, 1] - 0.8 * an[:, 4]
+        eps = 0.01 * np.linalg.norm(y)
+        assert recon._bpdn_homotopy(an, y, eps, max_steps=4)[2] == 4
+        assert recon._bpdn_homotopy(an, y, eps, max_steps=3) is None
+        assert recon._bpdn_homotopy(an, y, eps, max_steps=1) is None
+
+
 class TestHomotopyOracle:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1268,6 +1299,15 @@ class TestConstantPowerNewton:
         assert est.iterations_used <= 30
         assert est.injections[0] == pytest.approx(2.0, abs=1e-8)
 
+    # Z = [2], P = 8: the root is I = 2, so starting there takes no step
+    @pytest.mark.parametrize("start, steps", [(2.0, 0), (1.0, 5)])
+    def test_iterations_count_the_steps(self, start, steps):
+        meas = MeasurementSet(power_constraints={1: 8.0})
+        initial = SparseEstimate(np.array([start]), 0.0, 0, True)
+        est = constant_power_newton(SCALAR_Z2, meas, SolverConfig(), initial)
+        assert (est.converged, est.iterations_used) == (True, steps)
+        assert est.injections[0] == pytest.approx(2.0, abs=1e-8)
+
     def test_zero_power_fixed_point(self):
         meas = MeasurementSet(power_constraints={1: 0.0})
         initial = SparseEstimate(
@@ -1276,6 +1316,12 @@ class TestConstantPowerNewton:
         )
         est = constant_power_newton(SCALAR_Z2, meas, SolverConfig(), initial)
         assert abs(est.injections[0]) < 1e-4
+
+    def test_initial_estimate_wrong_length(self):
+        meas = MeasurementSet(power_constraints={1: 1.0})
+        initial = SparseEstimate(np.ones(3), 0.0, 0, True)
+        with pytest.raises(ValidationError, match="initial estimate must have length 2"):
+            constant_power_newton(TWO_BUS_Z, meas, SolverConfig(), initial)
 
     def test_requires_power_constraints(self):
         initial = SparseEstimate(
@@ -1452,9 +1498,19 @@ def _constant_power_snapshots(model, plan, load_bus, count, seed):
         )
 
 
+def _steps_taken(reference):
+    """The reference's estimate with its count of passes turned into the steps
+    taken. Below newton_max_iter a converged reference stopped at the pass
+    that found the root, one pass after its last step, and a diverged one
+    raised in the pass whose damping failed, which counts as no step."""
+    assert reference.iterations_used < SolverConfig.newton_max_iter
+    return dataclasses.replace(reference, iterations_used=reference.iterations_used - 1)
+
+
 class TestNewtonMatchesReference:
     """The one-pass refinement gives the reference's bits: the same answers
-    and, where the reference diverges, the same error and last iterate."""
+    and, where the reference diverges, the same error and last iterate. Its
+    iteration count is the steps taken, one fewer than the reference's."""
 
     @pytest.mark.parametrize(
         "case, meters, load_bus, diverged", [("ieee9", 8, 5, 12), ("ieee118", 90, 45, 0)]
@@ -1474,10 +1530,11 @@ class TestNewtonMatchesReference:
                 with pytest.raises(NewtonDivergenceError) as caught:
                     constant_power_newton(model, meas, cfg, initial)
                 assert str(caught.value) == str(exc)
-                _assert_same_estimate(caught.value.estimate, exc.estimate)
+                _assert_same_estimate(caught.value.estimate, _steps_taken(exc.estimate))
                 failures += 1
             else:
-                _assert_same_estimate(constant_power_newton(model, meas, cfg, initial), want)
+                got = constant_power_newton(model, meas, cfg, initial)
+                _assert_same_estimate(got, _steps_taken(want))
         assert failures == diverged
 
 
@@ -1503,6 +1560,18 @@ class TestMeasurementSet:
     def test_malformed_line(self):
         with pytest.raises(CaseParseError):
             MeasurementSet.from_text("gridsense-snapshot v1\n[voltages]\n1 x\n")
+
+    @pytest.mark.parametrize(
+        "section, line, message",
+        [
+            ("voltage_sources", "3 4", "expected a single bus id"),
+            ("voltages", "3", "expected: bus value"),
+        ],
+    )
+    def test_wrong_token_count(self, section, line, message):
+        text = f"gridsense-snapshot v1\n[{section}]\n{line}\n"
+        with pytest.raises(CaseParseError, match=f"line 3: {message}"):
+            MeasurementSet.from_text(text)
 
     def test_error_carries_line_number(self):
         with pytest.raises(CaseParseError, match="line 4: could not convert"):

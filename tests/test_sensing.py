@@ -138,6 +138,10 @@ class TestGramCoherence:
         assert report.zero_columns == (2,)
         assert report.mutual_coherence == pytest.approx(1 / math.sqrt(2))
 
+    def test_empty_error(self):
+        with pytest.raises(ValidationError, match="empty measurement matrix"):
+            gram_coherence(np.zeros((0, 3)))
+
     def test_all_zero_error(self):
         with pytest.raises(ValidationError):
             gram_coherence(np.zeros((2, 2)))
@@ -270,9 +274,7 @@ class TestGreedyMatchesReference:
         for r in rng.choice(m, size=n_zero, replace=False):
             z[r, :] = 0.0
             z[:, r] = 0.0
-        model = ImpedanceModel(
-            conductance=np.eye(m), impedance=z, folded_loads=(), condition_estimate=1.0
-        )
+        model = ImpedanceModel(impedance=z, condition_estimate=1.0)
         k = data.draw(st.integers(1, m), label="k")
         plan = greedy_place_sensors(model, k)
         assert_same_plan(plan, _reference_greedy(model, k))
