@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -158,7 +157,8 @@ def _draw_states(m, seed, sparsity, eligible, trials) -> np.ndarray:
         rng = np.random.default_rng((seed, t, 0))
         support = columns[rng.choice(len(columns), size=sparsity, replace=False)]
         magnitudes = rng.uniform(*INJECTION_RANGE, sparsity)
-        x[support] = rng.choice(_SIGNS, size=sparsity) * magnitudes
+        # the draw rng.choice(_SIGNS, size=sparsity) makes, without its argument handling
+        x[support] = _SIGNS[rng.integers(0, 2, size=sparsity)] * magnitudes
     return states
 
 
@@ -222,9 +222,10 @@ def _check_trials(network, model, sparsity, noise_std, estimator) -> list[int]:
 def _run_cell(network, model, sparsity, noise_std, seed, estimator, cfg, blocks):
     """A cell's trials as arrays: draw every state, solve per trial, score once.
 
-    `blocks` lists (plan buses, trial indices); row i of each returned array
-    is the i-th of those trials. Returns the true and estimated states, each
-    trial's max relative error and RMSE, and its (route, converged).
+    `blocks` lists (plan buses, trial indices), one block per plan, each set
+    up just before it runs; row i of each returned array is the i-th of those
+    trials. Returns the true and estimated states, each trial's max relative
+    error and RMSE, and its (route, converged).
     """
     eligible = _check_trials(network, model, sparsity, noise_std, estimator)
     known = {d.bus: d.value for d in network.devices if d.kind == "current_source"}
@@ -236,21 +237,16 @@ def _run_cell(network, model, sparsity, noise_std, seed, estimator, cfg, blocks)
     cs = estimator == "cs"
     if cs and cfg is None:
         cfg = SolverConfig(epsilon=default_epsilon(noise_std, len(blocks[0][0])))
-    # each distinct plan: a `recon.MeasurementSystem` (`cs` on the rows in
-    # ascending bus order, as `estimate_state` builds it, so the LP takes the
-    # same pivots), its Z rows in plan order, in which the readings are
-    # simulated, and the reading order; dropped after the plan's last block
-    last_block = {chosen: p for p, (chosen, _) in enumerate(blocks)}
-    systems = {}
     estimates = np.empty_like(states)
     outcomes = []
-    for p, (chosen, block) in enumerate(blocks):
-        if chosen not in systems:
-            # the system rejects bus ids outside the model and repeated buses
-            systems[chosen] = (MeasurementSystem(model, sorted(chosen) if cs else chosen, known),
-                               model.impedance[np.array(chosen) - 1],
-                               np.argsort(chosen) if cs else slice(None))
-        system = systems.pop(chosen) if last_block[chosen] == p else systems[chosen]
+    for chosen, block in blocks:
+        # the plan's `recon.MeasurementSystem` (`cs` on the rows in ascending
+        # bus order, as `estimate_state` builds it, so the LP takes the same
+        # pivots), which rejects unknown and repeated buses; its Z rows in plan
+        # order, in which the readings are simulated; and the reading order
+        system = (MeasurementSystem(model, sorted(chosen) if cs else chosen, known),
+                  model.impedance[np.array(chosen) - 1],
+                  np.argsort(chosen) if cs else slice(None))
         rows = slice(len(outcomes), len(outcomes) + len(block))
         outcomes += _solve_block(system, cfg if cs else None, noise_std, seed, block,
                                  states[rows], estimates[rows])
@@ -303,8 +299,8 @@ def run_benchmark(
     counts allow. When `epsilon` is given it overrides the noise-derived
     BPDN radius in every cell. A cell runs in three passes: draw every
     trial's state, each from its own stream, into one trials x m array;
-    solve trial by trial, block by plan block (`_solve_block`), into a
-    second; score with row-wise reductions. A cell keeps its trials as rows
+    solve trial by trial, one block per distinct plan (`_solve_block`), into
+    a second; score with row-wise reductions. A cell keeps its trials as rows
     of those two arrays, not as result objects. Trials run serially;
     `threads` is ignored.
     """
@@ -333,14 +329,14 @@ def run_benchmark(
                 for p in range(min(RANDOM_PLACEMENTS, trials))
             ]
 
-        # trial t runs on plan t * n_plans // trials: consecutive blocks of
-        # trials // n_plans or one more, covering every requested trial
-        blocks = [
-            (plans[p], list(block))
-            for p, block in itertools.groupby(range(trials), lambda t: t * len(plans) // trials)
-        ]
+        # trial t runs on plan t * n_plans // trials; one block per distinct plan
+        blocks = {}
+        for t in range(trials):
+            blocks.setdefault(plans[t * len(plans) // trials], []).append(t)
         max_rel, rmse = _run_cell(
-            network, model, sparsity, noise_std, cseed, estimator, cfg, blocks)[2:4]
+            network, model, sparsity, noise_std, cseed, estimator, cfg, list(blocks.items()))[2:4]
+        # back to trial order, in which np.mean sums
+        rmse = rmse[np.argsort([t for block in blocks.values() for t in block])]
         results.append(
             CellResult(
                 sparsity=sparsity, meters=meters, placement=placement,

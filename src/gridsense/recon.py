@@ -213,11 +213,11 @@ class MeasurementSystem:
         y_off = y - self.offset
         if self.problem is not None:
             est = self.problem.solve(y_off, cfg)
-        elif np.isfinite(y_off).all():
-            est = SparseEstimate(np.zeros(0), float(np.linalg.norm(y_off)), 0, True)
-        else:
+            return SparseEstimate(self._scatter(est.injections), est.residual_norm,
+                                  est.iterations_used, est.converged, est.route)
+        if not np.isfinite(y_off).all():
             raise ValidationError("non-finite entries in solver input")
-        return replace(est, injections=self._scatter(est.injections))
+        return SparseEstimate(self.base.copy(), float(np.linalg.norm(y_off)), 0, True)
 
     def min_energy(self, y) -> np.ndarray:
         """Minimum-norm injections at every bus."""
@@ -568,6 +568,8 @@ class BpdnProblem:
 
     def __init__(self, a):
         a = np.asarray(a, dtype=float)
+        if a.ndim != 2:
+            raise ValidationError(f"system matrix must be 2-D, got shape {a.shape}")
         if a.size == 0:
             raise ValidationError("empty system matrix")
         if not np.isfinite(a).all():
@@ -580,6 +582,9 @@ class BpdnProblem:
     def solve(self, y, cfg: SolverConfig) -> SparseEstimate:
         """`solve_bpdn`'s estimate for the reading vector y."""
         y = np.asarray(y, dtype=float)
+        if y.shape != self.an.shape[:1]:
+            raise ValidationError(
+                f"reading vector must have shape ({self.an.shape[0]},), got {y.shape}")
         if not np.isfinite(y).all():
             raise ValidationError("non-finite entries in solver input")
         an = self.an

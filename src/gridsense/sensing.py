@@ -35,6 +35,10 @@ class PlacementPlan:
     objective_trace: tuple[float, ...]
     final_coherence: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "chosen", tuple(self.chosen))
+        object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
+
     def to_text(self) -> str:
         lines = [
             PLAN_HEADER,

@@ -24,6 +24,7 @@ from gridsense import (
     sample_sparse_state,
     simulate_measurements,
 )
+from gridsense import recon
 
 TWO_BUS_CASE = """\
 gridsense-case v1
@@ -132,6 +133,28 @@ def ieee118_network():
 @pytest.fixture(scope="session")
 def ieee118_model(ieee118_network):
     return build_impedance_model(ieee118_network)
+
+
+class _CountingSolver:
+    """A HiGHS solver's stand-in that counts passModel calls and forwards the rest."""
+
+    def __init__(self, inner):
+        self.inner, self.passes = inner, 0
+
+    def passModel(self, *args):
+        self.passes += 1
+        return self.inner.passModel(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+@pytest.fixture
+def counted_solver(monkeypatch):
+    """This thread's HiGHS solver behind a `_CountingSolver`."""
+    proxy = _CountingSolver(recon._highs_solver()[1])
+    monkeypatch.setattr(recon._HIGHS, "solver", proxy)
+    return proxy
 
 
 def solve_l0_oracle(a, y, s_max: int, tol: float) -> SparseEstimate | None:

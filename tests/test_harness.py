@@ -473,6 +473,66 @@ class TestDistinctPlanContexts:
         assert (got.reconstruction_ratio, got.mean_rmse) == (ratio, rmse)
 
 
+class TestOneBlockPerPlan:
+    """A random cell solves each distinct plan as one block: its trials in
+    ascending order, its system built and its LP model passed once."""
+
+    @staticmethod
+    def cell_plans(model, meters, trials, seed):
+        # trial t's plan in the cell of grid index 0
+        cseed = harness._cell_seed(seed, 0)
+        plans = [
+            harness.random_sensor_buses(model.size, meters, harness._cell_seed(cseed, p + 1))
+            for p in range(min(harness.RANDOM_PLACEMENTS, trials))
+        ]
+        return [plans[t * len(plans) // trials] for t in range(trials)]
+
+    def test_solve_block_once_per_plan(self, monkeypatch, ieee9_network, ieee9_model):
+        calls = []
+        solve_block = harness._solve_block
+
+        def spy(plan_system, cfg, noise_std, seed, trials, states, estimates):
+            calls.append(list(trials))
+            return solve_block(plan_system, cfg, noise_std, seed, trials, states, estimates)
+
+        monkeypatch.setattr(harness, "_solve_block", spy)
+        run_benchmark(ieee9_network, ieee9_model, [(2, 8, "random", "cs", 0.0)],
+                      trials=100, seed=4)
+        blocks = {}
+        for t, plan in enumerate(self.cell_plans(ieee9_model, 8, 100, seed=4)):
+            blocks.setdefault(plan, []).append(t)
+        # 8 of 9 buses: at most 9 sets among the 100 placements
+        assert len(calls) == len(blocks) <= 9
+        assert sorted(calls) == sorted(blocks.values())
+
+    def test_lp_model_passed_once_per_plan(self, counted_solver, ieee9_network, ieee9_model):
+        run_benchmark(ieee9_network, ieee9_model, [(1, 7, "random", "cs", 0.0)],
+                      trials=100, seed=9)
+        distinct = set(self.cell_plans(ieee9_model, 7, 100, seed=9))
+        assert 1 < len(distinct) < 100
+        assert counted_solver.passes == len(distinct)
+
+
+class TestListBuiltPlan:
+    """A plan built from lists runs as the same plan built from tuples."""
+
+    def test_campaign_and_trial(self, ieee9_network, ieee9_model):
+        listed = PlacementPlan([1, 2, 3, 4, 5, 6, 8], [], 0.5)
+        tupled = PlacementPlan((1, 2, 3, 4, 5, 6, 8), (), 0.5)
+        reports = [
+            run_benchmark(ieee9_network, ieee9_model,
+                          [(2, 7, plan, "cs", 0.0), (1, 7, plan, "min_energy", 0.01)],
+                          trials=20, seed=3).to_json_text()
+            for plan in (listed, tupled)
+        ]
+        assert reports[0] == reports[1]
+        trials = [
+            run_trial(ScenarioSpec(ieee9_network, ieee9_model, plan, 2, seed=3), "cs", 5)
+            for plan in (listed, tupled)
+        ]
+        assert np.array_equal(trials[0].estimated_injections, trials[1].estimated_injections)
+
+
 class _ReferenceTrialContext:
     """One plan's set-up and its per-trial run, as a cell ran them trial by
     trial before it ran as arrays; returns each trial's (success, rmse)."""

@@ -297,6 +297,33 @@ class TestSolveBpdn:
         assert np.abs(est.injections - oracle.injections).max() < 1e-4
 
 
+class TestBpdnInputShapes:
+    """A that is not 2-D, and y whose shape is not (rows of A,), raise before any solve."""
+
+    A = np.array([[1.0, 0.0, 1.0, 0.5], [0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 2.0]])
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("solver reached")
+
+        monkeypatch.setattr(recon, "_solve_bp_lp", fail)
+        monkeypatch.setattr(recon, "_bpdn_homotopy", fail)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
+    def test_reading_vector_shape(self, no_solve, epsilon, shape):
+        # (4,) is the column count, (1, 3) holds the right count in a row
+        y = np.ones(shape)
+        with pytest.raises(ValidationError, match=r"reading vector must have shape \(3,\)"):
+            solve_bpdn(self.A, y, SolverConfig(epsilon=epsilon))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_matrix_not_2d(self, no_solve, shape):
+        with pytest.raises(ValidationError, match="system matrix must be 2-D"):
+            solve_bpdn(np.ones(shape), np.ones(2), SolverConfig())
+
+
 class TestBpdnFallback:
     """Inputs on which the LP or the homotopy gives up: the least-squares
     point comes back at once, not converged, with route "fallback"."""
@@ -497,28 +524,6 @@ class TestBpLpOracle:
         for i, want in enumerate(serial):
             assert all(np.array_equal(g, w) for g, w in zip(results[i], want, strict=True))
         assert len({id(solver) for solver in solvers.values()}) == len(work)
-
-
-class _CountingSolver:
-    """A HiGHS solver's stand-in that counts passModel calls and forwards the rest."""
-
-    def __init__(self, inner):
-        self.inner, self.passes = inner, 0
-
-    def passModel(self, *args):
-        self.passes += 1
-        return self.inner.passModel(*args)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-@pytest.fixture
-def counted_solver(monkeypatch):
-    """This thread's HiGHS solver behind a `_CountingSolver`."""
-    proxy = _CountingSolver(recon._highs_solver()[1])
-    monkeypatch.setattr(recon._HIGHS, "solver", proxy)
-    return proxy
 
 
 def _sparse_rhs(a, count, seed, sparsity=2):

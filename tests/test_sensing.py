@@ -363,6 +363,16 @@ class TestPlanSerialization:
             )
             assert PlacementPlan.from_text(plan.to_text()) == written
 
+    def test_list_built_plan_is_tuples(self):
+        plan = PlacementPlan([1, 2, 3, 4, 5, 6, 8], [], 0.5)
+        assert plan == PlacementPlan((1, 2, 3, 4, 5, 6, 8), (), 0.5)
+        assert (plan.chosen, plan.objective_trace) == ((1, 2, 3, 4, 5, 6, 8), ())
+        assert hash(plan) == hash(PlacementPlan((1, 2, 3, 4, 5, 6, 8), (), 0.5))
+
+    def test_list_built_plan_round_trip(self):
+        plan = PlacementPlan([3, 1, 7], [0.5, 0.25], 0.25)
+        assert PlacementPlan.from_text(plan.to_text()) == plan
+
     def test_missing_field(self):
         with pytest.raises(CaseParseError):
             PlacementPlan.from_text("gridsense-plan v1\nbuses 1 2\n")
