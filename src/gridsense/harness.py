@@ -38,6 +38,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         _check_sparsity_and_noise(self.model.size, self.sparsity, self.noise_std)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_sparsity_and_noise(m: int, sparsity: int, noise_std: float) -> None:

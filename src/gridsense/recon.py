@@ -141,14 +141,27 @@ def _support_of(x: np.ndarray) -> tuple[int, ...]:
     return tuple((np.flatnonzero(mag > SUPPORT_THRESHOLD_REL * peak) + 1).tolist())
 
 
+def _readings(y, n: int) -> np.ndarray:
+    """y as a float vector of n finite entries; a ValidationError otherwise."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (n,):
+        raise ValidationError(f"reading vector must have shape ({n},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValidationError("non-finite entries in solver input")
+    return y
+
+
+def _known_split(known: dict[int, float]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The known buses in ascending order and their currents, checked by `_readings`."""
+    buses = tuple(sorted(known))
+    return buses, _readings([known[b] for b in buses], len(buses))
+
+
 def apply_current_offsets(y, model: ImpedanceModel, sensor_buses, known: dict[int, float]):
     """Subtract the voltage contribution of known current injections from y."""
-    y = np.asarray(y, dtype=float)
     sensor_buses = tuple(sensor_buses)
-    if y.shape != (len(sensor_buses),):
-        raise ValidationError("y length must match the sensor bus list")
-    known_buses = sorted(known)
-    currents = np.array([known[b] for b in known_buses], dtype=float)
+    y = _readings(y, len(sensor_buses))
+    known_buses, currents = _known_split(known)
     return y - assemble_measurement_matrix(model, sensor_buses, known_buses) @ currents
 
 
@@ -161,8 +174,7 @@ def _system(model: ImpedanceModel, row_buses, known: dict[int, float]) -> "Measu
     systems are never written to after the build, so threads share them;
     two threads missing at once may each build one, both identical.
     """
-    buses = tuple(sorted(known))
-    currents = np.array([known[b] for b in buses], dtype=float)
+    buses, currents = _known_split(known)
     return _memo_system(model, tuple(row_buses), buses, currents.tobytes())
 
 
@@ -178,25 +190,23 @@ class MeasurementSystem:
     Built once from the model, the row buses in reading order and the known
     injections (bus -> current), with `assemble_measurement_matrix`, which
     checks the bus ids. `rows` keeps the readings' rows over every bus.
-    `bpdn` and `min_energy` subtract the known injections' part of one
-    reading vector, solve for the unknown buses and return the injections
-    at every bus, the known ones in place.
+    `bpdn` and `min_energy` check a reading vector, subtract the known
+    injections' part (`offset`), solve for the unknown buses and return the
+    injections at every bus, the known ones in place.
     """
 
     def __init__(self, model: ImpedanceModel, row_buses, known: dict[int, float]):
         m = model.size
-        known_buses = sorted(known)
-        currents = np.array([known[b] for b in known_buses], dtype=float)
+        known_buses, currents = _known_split(known)
         unknown = [b for b in range(1, m + 1) if b not in known]
         self.a = assemble_measurement_matrix(model, row_buses, unknown)
         self.rows = model.impedance[np.array(row_buses) - 1]
         self.problem = BpdnProblem(self.a) if unknown else None
         self.unknown = np.array(unknown, dtype=int) - 1
+        # a zero vector when nothing is known: y - 0 keeps every bit, -0.0 too
+        self.offset = assemble_measurement_matrix(model, row_buses, known_buses) @ currents
         self.base = np.zeros(m)
-        self.offset = 0.0
-        if known:
-            self.offset = assemble_measurement_matrix(model, row_buses, known_buses) @ currents
-            self.base[np.array(known_buses) - 1] = currents
+        self.base[np.array(known_buses, dtype=int) - 1] = currents
 
     def _scatter(self, x) -> np.ndarray:
         full = self.base.copy()
@@ -207,30 +217,26 @@ class MeasurementSystem:
         """The BPDN estimate over the unknown buses, scattered to every bus.
 
         The residual norm is the solver's. With every injection known nothing
-        is solved: the estimate is the known currents, converged, with no
-        route; non-finite readings or known currents raise, as in a solve.
+        is solved: the estimate is the known currents, converged, no route.
         """
-        y_off = y - self.offset
+        y_off = _readings(y, len(self.rows)) - self.offset
         if self.problem is not None:
             est = self.problem.solve(y_off, cfg)
             return SparseEstimate(self._scatter(est.injections), est.residual_norm,
                                   est.iterations_used, est.converged, est.route)
-        if not np.isfinite(y_off).all():
-            raise ValidationError("non-finite entries in solver input")
         return SparseEstimate(self.base.copy(), float(np.linalg.norm(y_off)), 0, True)
 
     def min_energy(self, y) -> np.ndarray:
         """Minimum-norm injections at every bus."""
-        return self._scatter(min_energy(self.a, y - self.offset))
+        return self._scatter(min_energy(self.a, _readings(y, len(self.rows)) - self.offset))
 
 
 def min_energy(a, y) -> np.ndarray:
     """Minimum-Euclidean-norm (least-squares) solution of A x = y."""
     a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
     if a.size == 0:
         raise ValidationError("empty system matrix")
-    x, *_ = np.linalg.lstsq(a, y, rcond=None)
+    x, *_ = np.linalg.lstsq(a, _readings(y, len(a)), rcond=None)
     return x
 
 
@@ -474,16 +480,15 @@ def _bpdn_homotopy(an, y, eps, max_steps):
         a2 = vv
         a1 = 2.0 * u_v
         a0 = uu - eps * eps
+        disc = a1 * a1 - 4.0 * a2 * a0
         cross = None
-        if a2 > 0:
-            disc = a1 * a1 - 4.0 * a2 * a0
-            if disc >= 0:
-                roots = [(-a1 + math.sqrt(disc)) / (2 * a2), (-a1 - math.sqrt(disc)) / (2 * a2)]
-                valid = [r for r in roots if lam_next - tiny <= r <= lam + tiny]
-                if valid:
-                    cross = max(valid)
-        elif a0 <= 0:
-            cross = lam
+        # v = A_S psi is zero only for signs orthogonal to A_S's row space, and
+        # on the path they are A_S^T r / lam; a2 > 0 only guards the division
+        if a2 > 0 and disc >= 0:
+            roots = [(-a1 + math.sqrt(disc)) / (2 * a2), (-a1 - math.sqrt(disc)) / (2 * a2)]
+            valid = [r for r in roots if lam_next - tiny <= r <= lam + tiny]
+            if valid:
+                cross = max(valid)
         if cross is not None:
             cross = min(max(cross, lam_next), lam)
             beta = np.zeros(m)
@@ -581,12 +586,7 @@ class BpdnProblem:
 
     def solve(self, y, cfg: SolverConfig) -> SparseEstimate:
         """`solve_bpdn`'s estimate for the reading vector y."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != self.an.shape[:1]:
-            raise ValidationError(
-                f"reading vector must have shape ({self.an.shape[0]},), got {y.shape}")
-        if not np.isfinite(y).all():
-            raise ValidationError("non-finite entries in solver input")
+        y = _readings(y, len(self.an))
         an = self.an
         n, m = an.shape
         eps = cfg.epsilon

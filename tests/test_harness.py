@@ -75,6 +75,12 @@ class TestScenarioSpec:
         with pytest.raises(ValidationError, match="noise_std must be finite and >= 0"):
             ieee9_spec(noise_std=noise_std)
 
+    def test_negative_seed(self, ieee9_spec):
+        # the error run_benchmark gives, not numpy's from the first trial's draw
+        with pytest.raises(ValidationError, match=r"^seed must be >= 0, got -1$"):
+            ieee9_spec(seed=-1)
+        assert run_trial(ieee9_spec(seed=0), "cs", 0).converged
+
 
 class TestSampleSparseState:
     def test_single_active_bus(self, ieee9_spec):

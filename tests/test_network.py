@@ -216,6 +216,23 @@ class TestInvertToImpedance:
         model = invert_to_impedance(np.diag([1.0, 1e6]))
         assert model.condition_estimate == pytest.approx(1e6)
 
+    def test_inverse_verification_failure_rejected(self):
+        # symmetric positive definite, condition 7.5e7 (under the ceiling),
+        # yet max |ZG - I| is 1.18e-7 with one OpenBLAS thread and with two
+        g = np.array([
+            [3229806941, -2575817918, -1811323382, 335298937, -1906427428, 343063783],
+            [-2575817918, 2054307435, 1444035087, -267209740, 1520286981, -273535253],
+            [-1811323382, 1444035087, 1021876230, -190461101, 1075961166, -203795513],
+            [335298937, -267209740, -190461101, 35947810, -202002775, 43000105],
+            [-1906427428, 1520286981, 1075961166, -202002775, 1171248457, -290302771],
+            [343063783, -273535253, -203795513, 43000105, -290302771, 204893713],
+        ], dtype=float)
+        assert np.array_equal(g, g.T)
+        assert np.linalg.eigvalsh(g).min() > 0
+        assert np.linalg.cond(g) < CONDITION_CEILING
+        with pytest.raises(SingularModelError, match=r"^inverse verification failed: max \|ZG - I\|"):
+            invert_to_impedance(g)
+
     def test_condition_ceiling_enforced(self):
         assert 1e9 > CONDITION_CEILING
         message = re.escape(f"exceeds ceiling {CONDITION_CEILING:.1e}")

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.machinery
 import itertools
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -322,6 +323,67 @@ class TestBpdnInputShapes:
     def test_matrix_not_2d(self, no_solve, shape):
         with pytest.raises(ValidationError, match="system matrix must be 2-D"):
             solve_bpdn(np.ones(shape), np.ones(2), SolverConfig())
+
+
+# every function that takes a reading vector, on the 9-bus model read at
+# buses 1, 2 and 3 (min_energy on a 3 x 2 matrix): each gets (model, y)
+READING_ENTRY_POINTS = {
+    "solve_bpdn": lambda model, y: solve_bpdn(model.impedance[:3], y, SolverConfig()),
+    "BpdnProblem.solve": lambda model, y: recon.BpdnProblem(model.impedance[:3]).solve(
+        y, SolverConfig(epsilon=0.1)),
+    "MeasurementSystem.bpdn": lambda model, y: recon.MeasurementSystem(
+        model, (1, 2, 3), {4: 0.5}).bpdn(y, SolverConfig()),
+    "MeasurementSystem.bpdn, every injection known": lambda model, y: recon.MeasurementSystem(
+        model, (1, 2, 3), {b: 0.1 for b in range(1, 10)}).bpdn(y, SolverConfig()),
+    "MeasurementSystem.min_energy": lambda model, y: recon.MeasurementSystem(
+        model, (1, 2, 3), {4: 0.5}).min_energy(y),
+    "min_energy": lambda model, y: min_energy(np.arange(6.0).reshape(3, 2), y),
+    "apply_current_offsets": lambda model, y: apply_current_offsets(y, model, (1, 2, 3), {4: 0.5}),
+}
+
+
+class TestReadingCheck:
+    """A reading vector whose shape is not (n,) for n readings, or that holds
+    a non-finite entry, raises the same ValidationError wherever it enters."""
+
+    @pytest.mark.parametrize("entry", READING_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            (np.ones(2), "reading vector must have shape (3,), got (2,)"),
+            (np.ones(4), "reading vector must have shape (3,), got (4,)"),
+            (np.ones((1, 3)), "reading vector must have shape (3,), got (1, 3)"),
+            (np.ones((3, 1)), "reading vector must have shape (3,), got (3, 1)"),
+            ([0.1, np.nan, 0.2], "non-finite entries in solver input"),
+            ([0.1, 0.2, np.inf], "non-finite entries in solver input"),
+        ],
+        ids=["short", "long", "row", "column", "nan", "inf"],
+    )
+    def test_one_error(self, ieee9_model, entry, y, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            READING_ENTRY_POINTS[entry](ieee9_model, y)
+
+    @pytest.mark.parametrize("current", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("build", ["estimate_state", "MeasurementSystem", "apply_current_offsets"])
+    def test_non_finite_known_current_with_unknowns(self, ieee9_model, build, current):
+        known = {4: current, 6: 0.2}
+        with pytest.raises(ValidationError, match="^non-finite entries in solver input$"):
+            if build == "estimate_state":
+                meas = MeasurementSet(voltage_readings={1: 0.3, 2: 0.1, 3: 0.2},
+                                      known_injections=known)
+                estimate_state(ieee9_model, meas, plan_for([1, 2, 3]), SolverConfig())
+            elif build == "MeasurementSystem":
+                recon.MeasurementSystem(ieee9_model, (1, 2, 3), known)
+            else:
+                apply_current_offsets([0.3, 0.1, 0.2], ieee9_model, (1, 2, 3), known)
+
+    def test_nothing_known_offsets_by_a_zero_vector(self, ieee9_model):
+        system = recon.MeasurementSystem(ieee9_model, (1, 2, 3), {})
+        assert system.offset.shape == (3,)
+        assert not system.offset.any()
+        y = np.array([-0.0, 0.0, -1.5])
+        for got in (y - system.offset, apply_current_offsets(y, ieee9_model, (1, 2, 3), {})):
+            assert [v.hex() for v in got] == [v.hex() for v in y]
 
 
 class TestBpdnFallback:
